@@ -27,8 +27,27 @@ K <= H.  z centralizes H, so a, b in C_G(z); and z not in H >= K.  QED
 
 Because the condition is conjugation-invariant, z may range over conjugacy
 class representatives, and a, b over canonical generators of the distinct
-cyclic subgroups inside C_G(z) (replacing a generator by another generator
-of the same cyclic subgroup does not change <a,b>).
+cyclic subgroups inside W = C_G(z) (replacing a generator by another
+generator of the same cyclic subgroup does not change <a,b>).  Two further
+cuts keep the scan sound:
+
+(a) a and b may be taken of prime-power order.  Let K = <a,b> be non-cyclic
+    with z in C_G(K) \\ K, and suppose any two prime-power elements of K
+    generate a cyclic group.  Then they commute, and they generate K (each
+    element is a product of its prime-power parts, which are its powers),
+    so K is abelian; its Sylow subgroups contain no C_p x C_p (generated by
+    two p-elements), so they and K are cyclic, a contradiction.  Hence some
+    prime-power a', b' in K generate a non-cyclic K' <= K, and z is in
+    C_G(K') \\ K'.  (Alternatively, by Miller and Moreno, Trans. AMS 4
+    (1903), each minimal non-cyclic group -- C_p x C_p, Q8 or C_p x| C_{q^m}
+    -- has two such generators.)
+
+(b) a may be taken from one cyclic subgroup per W-conjugacy orbit.  Let
+    <a,b> violate at z and w in W.  Conjugation by w fixes z and maps W to
+    itself, so <a^w, b^w> = <a,b>^w is non-cyclic, lies in W, and misses
+    z^w = z.  Choosing w with <a>^w the orbit representative <a'> gives a
+    violation <a', b^w> at z, and b^w again has prime-power order.  b must
+    still range over every cyclic subgroup, since w is spent on a.
 """
 
 from __future__ import annotations
@@ -36,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructors import ActionSpec
-from .fields import is_prime
+from .fields import factorize, is_prime
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupRef, close_generators
 from .lattice import DEFAULT_SUBGROUP_CAP, all_subgroups, maximal_subgroups
 from .perms import Perm
@@ -83,47 +102,47 @@ def is_self_centralizing(G: FiniteGroup, S: SubgroupRef) -> bool:
     return (cmask & ~S.mask) == 0
 
 
-def _is_cyclic_mask(G: FiniteGroup, mask: int) -> bool:
-    orders = G.element_orders()
-    size = mask.bit_count()
-    return any(orders[i] == size for i in G.mask_indices(mask))
-
-
 def in_class_X(G: FiniteGroup) -> MembershipVerdict:
     """Decide class-X membership by the centralizer-first pair scan.
 
-    For each conjugacy class representative z, every violation witnessed by
-    z lives inside W = C_G(z) (see the module docstring), and W is a
-    subgroup, so only pairs of cyclic-subgroup representatives inside W are
-    tried; cyclic W is skipped outright.  On failure the witness is the
-    first violation in lexicographic (z, a, b) order, so the verdict is
-    deterministic regardless of how the work is scheduled.
+    For each conjugacy class representative z with non-cyclic W = C_G(z),
+    b ranges over the cyclic subgroups of prime-power order in W and a over
+    one of them per W-conjugacy orbit (the module docstring proves this
+    suffices).  On failure the witness is the first violation in
+    (z, orbit-rep a, b) order of this reduced scan, each ascending by
+    element index, so it is deterministic and both its generators have
+    prime-power order.
     """
     orders = G.element_orders()
     cyc = G.cyclic_masks()
+    cyclic_set = set(cyc)
     cyc_reps = G.cyclic_reps()
-    memo: dict[tuple[int, int], tuple[int, bool]] = {}
+    prime_power = {o for o in set(orders) if len(factorize(o)) == 1}
+    abelian = G.is_abelian
+    memo: dict[tuple[int, int], int] = {}
 
     for z in G.class_representatives():
         if z == 0:
             continue
-        wmask = G.centralizer_mask([z])
-        w_indices = G.mask_indices(wmask)
-        if max(orders[i] for i in w_indices) == len(w_indices):
+        wmask = G.full_mask if abelian else G.centralizer_mask([z])
+        if wmask in cyclic_set:
             continue  # cyclic centralizer cannot contain a non-cyclic subgroup
-        rep_list = [i for i in w_indices if i != 0 and cyc_reps[i] == i]
-        for pos, a in enumerate(rep_list):
+        reps = [
+            i for i in G.mask_indices(wmask)
+            if cyc_reps[i] == i and orders[i] in prime_power
+        ]
+        orbit_reps = reps if abelian else G.cyclic_orbit_reps(
+            reps, SubgroupRef(G, wmask).generating_set())
+        for a in orbit_reps:
             ca = cyc[a]
-            for b in rep_list[pos + 1 :]:
+            for b in reps:
                 if (ca >> b) & 1 or (cyc[b] >> a) & 1:
                     continue  # one power of the other: <a,b> is cyclic
-                entry = memo.get((a, b))
-                if entry is None:
-                    kmask = G.closure_mask([a, b])
-                    entry = (kmask, not _is_cyclic_mask(G, kmask))
-                    memo[(a, b)] = entry
-                kmask, non_cyclic = entry
-                if non_cyclic and not (kmask >> z) & 1:
+                key = (a, b) if a < b else (b, a)
+                kmask = memo.get(key)
+                if kmask is None:
+                    kmask = memo[key] = G.closure_mask(key)
+                if not (kmask >> z) & 1 and kmask not in cyclic_set:
                     return MembershipVerdict(
                         member=False,
                         witness=Witness(
@@ -165,10 +184,11 @@ def in_class_C(G: FiniteGroup) -> MembershipVerdict:
     over class representatives.
     """
     cyc = G.cyclic_masks()
+    abelian = G.is_abelian
     for a in G.class_representatives():
         if a == 0:
             continue
-        outside = G.commute_mask(a) & ~cyc[a]
+        outside = (G.full_mask if abelian else G.commute_mask(a)) & ~cyc[a]
         if outside:
             z = (outside & -outside).bit_length() - 1
             return MembershipVerdict(
@@ -236,7 +256,7 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
         return ()
     orders = G.element_orders()
     partitions: dict[int, list[int]] = {}
-    for p in _prime_factors(n):
+    for p, _ in factorize(n):
         p_part = 1
         rest = n
         while rest % p == 0:
@@ -269,20 +289,6 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
                 d *= p ** lam[i]
         factors.append(d)
     return tuple(reversed(factors))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def two_group_family(G: FiniteGroup) -> str:

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass (or query succeeded), 1 verification failure,
-2 usage or configuration error.
+2 usage or configuration error, 3 internal invariant failure (a bug).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import classify
 from .constructors import parse_group_spec
-from .errors import CentraError
+from .errors import CentraError, InvariantError
 from .groups import DEFAULT_ORDER_CAP
 from .lattice import all_subgroups
 from .verify import THEOREM_IDS, bundled_manifest_path, run_manifest, verify
@@ -69,6 +69,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except CentraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

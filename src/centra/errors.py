@@ -60,3 +60,7 @@ class EnumerationInconclusiveError(CentraError):
 
 class InvalidActionError(CentraError):
     """Semidirect-product data does not define a homomorphism into Aut(N)."""
+
+
+class InvariantError(CentraError):
+    """An internal invariant of the toolkit failed; this is a bug, not bad input."""

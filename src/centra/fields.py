@@ -21,18 +21,24 @@ _BUNDLED_POLYS = {
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+    return factorize(n) == [(n, 1)]
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as ascending (prime, exponent) pairs."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def _poly_mod(num: list[int], den: tuple[int, ...], p: int) -> list[int]:

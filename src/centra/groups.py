@@ -15,15 +15,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegreeMismatchError, GroupTooLargeError
+from .errors import DegreeMismatchError, GroupTooLargeError, InvariantError
 from .perms import Perm
 
 DEFAULT_ORDER_CAP = 200_000
 
 # below this order, index-level multiplication tables are cheap to build
 _TABLE_LIMIT = 1400
-# above this order, commute masks use the vectorized path
-_VECTOR_THRESHOLD = 192
 
 
 def close_generators(
@@ -72,7 +70,8 @@ class FiniteGroup:
         self.degree = self.elements[0].degree
         self._index = {p.images: i for i, p in enumerate(self.elements)}
         # identity is lexicographically least among permutations, so index 0
-        assert self.elements[0].is_identity()
+        if not self.elements[0].is_identity():
+            raise InvariantError("the identity must sort to index 0")
         self._orders: list[int] | None = None
         self._table: list[list[int]] | None = None
         self._np_elements: np.ndarray | None = None
@@ -134,34 +133,19 @@ class FiniteGroup:
         that do many index-level multiplications; plain queries never need it.
         """
         if self._table is None and self.order <= _TABLE_LIMIT:
+            E = self._np_matrix()
+            lookup = self._row_lookup()
+            step = E.shape[1] * E.itemsize
             n = self.order
-            if n >= 64:
-                E = self._np_matrix()
-                lookup = self._row_lookup()
-                step = E.shape[1] * E.itemsize
-                table = []
-                for i in range(n):
-                    comp = np.ascontiguousarray(E[i][E])
-                    buf = comp.tobytes()
-                    table.append(
-                        [lookup[buf[j * step : (j + 1) * step]] for j in range(n)]
-                    )
-            else:
-                idx = self._index
-                elems = self.elements
-                table = []
-                for p in elems:
-                    s = p.images
-                    table.append(
-                        [idx[tuple(s[v] for v in q.images)] for q in elems]
-                    )
+            table = []
+            for i in range(n):
+                buf = np.ascontiguousarray(E[i][E]).tobytes()
+                table.append([lookup[buf[j * step : (j + 1) * step]] for j in range(n)])
             self._table = table
         return self._table
 
     def right_mult_column(self, j: int) -> list[int]:
         """column[x] = index of elements[x] * elements[j]; cached per j."""
-        if self._table is not None:
-            return [row[j] for row in self._table]
         col = self._columns.get(j)
         if col is None:
             E = self._np_matrix()
@@ -231,14 +215,10 @@ class FiniteGroup:
 
     @staticmethod
     def mask_indices(mask: int) -> list[int]:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return out
+        """Ascending indices of the set bits of ``mask``."""
+        raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return np.flatnonzero(bits).tolist()
 
     def closure_mask(self, seed: Iterable[int]) -> int:
         """Bit-set of the subgroup generated by the seed element indices."""
@@ -324,20 +304,12 @@ class FiniteGroup:
         cached = self._commute_masks.get(i)
         if cached is not None:
             return cached
-        n = self.order
-        if n >= _VECTOR_THRESHOLD:
-            E = self._np_matrix()
-            zi = E[i]
-            left = zi[E]          # rows: z * g
-            right = E[:, zi]      # rows: g * z
-            flags = np.all(left == right, axis=1)
-            packed = np.packbits(flags, bitorder="little")
-            mask = int.from_bytes(packed.tobytes(), "little")
-        else:
-            mask = 0
-            for j in range(n):
-                if self.mul(i, j) == self.mul(j, i):
-                    mask |= 1 << j
+        E = self._np_matrix()
+        zi = E[i]
+        # rows z * g against rows g * z
+        flags = np.all(zi[E] == E[:, zi], axis=1)
+        packed = np.packbits(flags, bitorder="little")
+        mask = int.from_bytes(packed.tobytes(), "little")
         self._commute_masks[i] = mask
         return mask
 
@@ -370,35 +342,68 @@ class FiniteGroup:
 
     # -- conjugacy ---------------------------------------------------------
 
+    def _conjugates(self, seeds: list[int], pairs: list[tuple[int, int]]) -> set[int]:
+        """All conjugates of ``seeds`` under the (generator, inverse) ``pairs``."""
+        out = set(seeds)
+        frontier = list(seeds)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, gi in pairs:
+                    y = self.mul(self.mul(gi, x), g)
+                    if y not in out:
+                        out.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return out
+
     def conjugacy_classes(self) -> list[list[int]]:
         """Orbits of conjugation, each sorted, listed by least representative."""
         if self._classes is None:
-            gens = self.generator_indices()
-            gens_inv = [self.inv(g) for g in gens]
+            pairs = [(g, self.inv(g)) for g in self.generator_indices()]
             seen = [False] * self.order
             classes = []
             for start in range(self.order):
-                if seen[start]:
-                    continue
-                seen[start] = True
-                orbit = [start]
-                frontier = [start]
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for g, gi in zip(gens, gens_inv):
-                            y = self.mul(self.mul(gi, x), g)
-                            if not seen[y]:
-                                seen[y] = True
-                                orbit.append(y)
-                                nxt.append(y)
-                    frontier = nxt
-                classes.append(sorted(orbit))
+                if not seen[start]:
+                    orbit = sorted(self._conjugates([start], pairs))
+                    for y in orbit:
+                        seen[y] = True
+                    classes.append(orbit)
             self._classes = classes
         return self._classes
 
     def class_representatives(self) -> list[int]:
         return [c[0] for c in self.conjugacy_classes()]
+
+    def cyclic_orbit_reps(self, reps: list[int], gens: list[int]) -> list[int]:
+        """Least member of each orbit of <gens>, acting by conjugation, on the
+        cyclic subgroups <r> for r in ``reps`` (ascending cyclic_reps() fixed
+        points whose subgroups <gens> permutes).  One numpy batch per
+        generator; orbits are joined by union-find."""
+        E = self._np_matrix()
+        lookup = self._row_lookup()
+        step = E.shape[1] * E.itemsize
+        crep = self.cyclic_reps()
+        pos = {r: k for k, r in enumerate(reps)}
+        root = list(range(len(reps)))
+
+        def find(k: int) -> int:
+            while root[k] != k:
+                root[k] = root[root[k]]
+                k = root[k]
+            return k
+
+        A = E[reps]
+        for g in gens:
+            eg = E[g]
+            eg_inv = np.argsort(eg).astype(E.dtype)
+            # rows of g^-1 * r * g, i.e. i -> g^-1[r[g[i]]]
+            buf = np.ascontiguousarray(eg_inv[A[:, eg]]).tobytes()
+            for k in range(len(reps)):
+                j = pos[crep[lookup[buf[k * step : (k + 1) * step]]]]
+                rk, rj = sorted((find(k), find(j)))
+                root[rj] = rk
+        return [r for k, r in enumerate(reps) if root[k] == k]
 
     # -- generated structure ------------------------------------------------
 
@@ -422,21 +427,9 @@ class FiniteGroup:
         indices = [
             self.index_of(s) if isinstance(s, Perm) else int(s) for s in seed
         ]
-        gens = self.generator_indices()
-        gens_inv = [self.inv(g) for g in gens]
-        conj_orbit = set()
-        frontier = list(indices)
-        conj_orbit.update(frontier)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, gi in zip(gens, gens_inv):
-                    y = self.mul(self.mul(gi, x), g)
-                    if y not in conj_orbit:
-                        conj_orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return SubgroupRef(self, self.closure_mask(sorted(conj_orbit)))
+        pairs = [(g, self.inv(g)) for g in self.generator_indices()]
+        conjugates = self._conjugates(indices, pairs)
+        return SubgroupRef(self, self.closure_mask(sorted(conjugates)))
 
     def commutator_subgroup(self, A: "SubgroupRef", B: "SubgroupRef") -> "SubgroupRef":
         """[A, B] for subgroups of this group (normal closure of [a, b])."""
@@ -500,8 +493,10 @@ class SubgroupRef:
         self.parent = parent
         self.mask = mask
         self._order = mask.bit_count()
-        assert mask & 1, "subgroup must contain the identity"
-        assert parent.order % self._order == 0, "Lagrange violation"
+        if not mask & 1:
+            raise InvariantError("subgroup must contain the identity")
+        if parent.order % self._order:
+            raise InvariantError("Lagrange violation")
 
     @property
     def order(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SubgroupCapError
+from .fields import is_prime
 from .groups import FiniteGroup, SubgroupRef
 
 DEFAULT_SUBGROUP_CAP = 2000
@@ -137,7 +138,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupRef:
     lexicographically least member list, so reports are reproducible.
     Returns the trivial subgroup when p does not divide |G|.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     target = 1
     n = G.order

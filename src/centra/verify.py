@@ -41,7 +41,7 @@ from .constructors import (
     symmetric,
 )
 from .errors import CentraError, GroupTooLargeError, SubgroupCapError
-from .fields import is_prime
+from .fields import factorize, is_prime
 from .groups import FiniteGroup, close_generators
 from .lattice import all_subgroups, normalizer, sylow_subgroup
 from .perms import Perm, parse_cycles
@@ -286,7 +286,7 @@ def class_c_prediction(G: FiniteGroup) -> str:
     if is_prime(n):
         return "member"
     if not G.is_abelian:
-        factors = _factorize(n)
+        factors = factorize(n)
         if len(factors) == 2:
             (p1, e1), (p2, e2) = factors
             if e1 == 1 and e2 == 1:
@@ -294,22 +294,6 @@ def class_c_prediction(G: FiniteGroup) -> str:
                 if p % q == 1:
                     return "member"
     return "non-member"
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _sweep_class_c(max_order: int | None) -> list[Instance]:

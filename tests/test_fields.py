@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from centra.fields import gf, is_prime
+from centra.fields import factorize, gf, is_prime
 
 
 def _tables(F):
@@ -103,3 +103,16 @@ def test_is_prime():
     ]
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def test_factorize():
+    assert factorize(1) == []
+    assert factorize(2) == [(2, 1)]
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(2 * 7919) == [(2, 1), (7919, 1)]
+    for n in range(1, 200):
+        prod = 1
+        for p, e in factorize(n):
+            assert e >= 1 and all(p % d for d in range(2, p))
+            prod *= p**e
+        assert prod == n

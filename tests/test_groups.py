@@ -10,8 +10,8 @@ from centra.constructors import (
     generalized_quaternion,
     symmetric,
 )
-from centra.errors import GroupTooLargeError
-from centra.groups import FiniteGroup, close_generators
+from centra.errors import GroupTooLargeError, InvariantError
+from centra.groups import FiniteGroup, SubgroupRef, close_generators
 from centra.perms import Perm, parse_cycles
 
 
@@ -203,6 +203,34 @@ def test_subgroup_ref_basics():
     assert induced.order == S.order
     gens = S.generating_set()
     assert G.closure_mask(gens) == S.mask
+
+
+def test_subgroup_ref_invariants_raise():
+    G = dihedral(8)
+    with pytest.raises(InvariantError):
+        SubgroupRef(G, 2)  # no identity
+    with pytest.raises(InvariantError):
+        SubgroupRef(G, 0b111)  # order 3 does not divide 8
+
+
+def test_mask_indices_matches_bit_walk():
+    def walk(mask):
+        return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+    for mask in (0, 1, 0b1011, 1 << 200, (1 << 777) - 1, 0xF0F0 << 64):
+        assert FiniteGroup.mask_indices(mask) == walk(mask)
+    assert all(type(i) is int for i in FiniteGroup.mask_indices(0b101))
+
+
+def test_cyclic_orbit_reps_under_conjugation():
+    G = dihedral(8)
+    orders = G.element_orders()
+    reps = [i for i in range(1, G.order) if G.cyclic_reps()[i] == i]
+    orbit_reps = G.cyclic_orbit_reps(reps, G.generator_indices())
+    # D_8: the central involution, two classes of reflections, and <r>
+    assert sorted(orders[i] for i in orbit_reps) == [2, 2, 2, 4]
+    # conjugation by the identity joins nothing
+    assert G.cyclic_orbit_reps(reps, [0]) == reps
 
 
 def test_mask_independent_constructions():

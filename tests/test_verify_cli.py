@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from centra import classify
 from centra.cli import main
+from centra.errors import InvariantError
 from centra.verify import (
     THEOREM_IDS,
     bundled_manifest_path,
@@ -213,6 +215,15 @@ def test_cli_verify_exit_codes(capsys):
 def test_cli_usage_error_exit_2(capsys):
     assert main(["construct", "nosuch:1"]) == 2
     assert main(["check-x", "cyclic"]) == 2
+
+
+def test_cli_invariant_failure_exit_3(monkeypatch, capsys):
+    def broken(G):
+        raise InvariantError("broken on purpose")
+
+    monkeypatch.setattr(classify, "in_class_X", broken)
+    assert main(["check-x", "cyclic:3"]) == 3
+    assert "broken on purpose" in capsys.readouterr().err
 
 
 def test_cli_run_manifest(tmp_path, capsys):
