@@ -146,7 +146,7 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
                     return MembershipVerdict(
                         member=False,
                         witness=Witness(
-                            (G.elements[a], G.elements[b]), G.elements[z]
+                            (G.element(a), G.element(b)), G.element(z)
                         ),
                         method=METHOD_PAIR,
                     )
@@ -169,7 +169,7 @@ def in_class_X_bruteforce(
             z = (outside & -outside).bit_length() - 1
             return MembershipVerdict(
                 member=False,
-                witness=Witness(tuple(S.generators()), G.elements[z]),
+                witness=Witness(tuple(S.generators()), G.element(z)),
                 method=METHOD_BRUTE,
             )
     return MembershipVerdict(member=True, witness=None, method=METHOD_BRUTE)
@@ -193,7 +193,7 @@ def in_class_C(G: FiniteGroup) -> MembershipVerdict:
             z = (outside & -outside).bit_length() - 1
             return MembershipVerdict(
                 member=False,
-                witness=Witness((G.elements[a],), G.elements[z]),
+                witness=Witness((G.element(a),), G.element(z)),
                 method=METHOD_CYCLIC,
             )
     return MembershipVerdict(member=True, witness=None, method=METHOD_CYCLIC)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InvalidActionError
+from .errors import InvalidActionError, InvariantError
 from .fields import FieldSpec, gf, is_prime
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, close_generators
 from .perms import Perm
@@ -77,6 +77,13 @@ def alternating(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return close_generators([three, big], order_cap)
 
 
+def _of_order(G: FiniteGroup, order: int) -> FiniteGroup:
+    """G, after checking that the construction gave the expected order."""
+    if G.order != order:
+        raise InvariantError(f"construction gave order {G.order}, not {order}")
+    return G
+
+
 def direct_product(A: FiniteGroup, B: FiniteGroup,
                    order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """A x B acting on the disjoint union of the two point sets."""
@@ -86,9 +93,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup,
         gens.append(Perm(list(g.images) + list(range(da, da + db))))
     for g in B.generators:
         gens.append(Perm(list(range(da)) + [da + v for v in g.images]))
-    G = close_generators(gens, order_cap)
-    assert G.order == A.order * B.order
-    return G
+    return _of_order(close_generators(gens, order_cap), A.order * B.order)
 
 
 # -- 2-groups of maximal class ------------------------------------------------
@@ -107,9 +112,7 @@ def dihedral(two_n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         return close_generators([x, y], order_cap)
     y = Perm([(i + 1) % n for i in range(n)])
     x = Perm([(n - i) % n for i in range(n)])
-    G = close_generators([x, y], order_cap)
-    assert G.order == two_n
-    return G
+    return _of_order(close_generators([x, y], order_cap), two_n)
 
 
 def semidihedral(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -121,9 +124,7 @@ def semidihedral(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     r = m // 2 - 1
     y = Perm([(i + 1) % m for i in range(m)])
     x = Perm([(r * i) % m for i in range(m)])
-    G = close_generators([x, y], order_cap)
-    assert G.order == order
-    return G
+    return _of_order(close_generators([x, y], order_cap), order)
 
 
 def generalized_quaternion(order: int,
@@ -147,9 +148,7 @@ def generalized_quaternion(order: int,
     elems = [(i, j) for j in range(2) for i in range(m)]
     index = {e: t for t, e in enumerate(elems)}
     table = [[index[mul(a, b)] for b in elems] for a in elems]
-    G = regular_representation(table, order_cap=order_cap)
-    assert G.order == order
-    return G
+    return _of_order(regular_representation(table, order_cap=order_cap), order)
 
 
 def _power_of_two_exponent(order: int) -> int | None:
@@ -193,8 +192,7 @@ def extraspecial_p3(p: int, exponent: str = "p",
         index = {e: t for t, e in enumerate(elems)}
         table = [[index[mul(a, b)] for b in elems] for a in elems]
         G = regular_representation(table, order_cap=order_cap)
-    assert G.order == p**3
-    return G
+    return _of_order(G, p**3)
 
 
 # -- projective groups ---------------------------------------------------------
@@ -278,25 +276,15 @@ def psl3(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return close_generators(gens, order_cap)
 
 
-def least_primitive_root(p: int) -> int:
-    """Least generator of the unit group of GF(p)."""
-    for g in range(2, p):
-        x, order = g, 1
-        while x != 1:
-            x = (x * g) % p
-            order += 1
-        if order == p - 1:
-            return g
-    raise ValueError(f"no primitive root mod {p}")
-
-
 def psl3_witness_pair(p: int) -> tuple[Perm, Perm]:
     """The anti-diagonal involution and diag(g^{p-2}, g, 1) as plane perms.
 
     Together they generate a dihedral group of order 2(p-1) inside PSL3(p)
     without enumerating the ambient group.
     """
-    g = least_primitive_root(p)
+    if p == 2:
+        raise ValueError("p must be an odd prime")
+    g = gf(p).primitive
     m1 = [[0, 1, 0], [1, 0, 0], [0, 0, p - 1]]
     m2 = [[pow(g, p - 2, p), 0, 0], [0, g, 0], [0, 0, 1]]
     return projective_plane_perm(p, m1), projective_plane_perm(p, m2)
@@ -464,9 +452,7 @@ def semidirect(spec: ActionSpec,
                 for h in range(H.order)
             )
         )
-    G = close_generators(gens, order_cap)
-    assert G.order == N.order * H.order
-    return G
+    return _of_order(close_generators(gens, order_cap), N.order * H.order)
 
 
 def regular_representation(mul_table: Sequence[Sequence[int]],
@@ -503,7 +489,8 @@ def regular_representation(mul_table: Sequence[Sequence[int]],
             frontier = nxt
     perms = [Perm(mul_table[g]) for g in gens] or [Perm(range(n))]
     G = close_generators(perms, order_cap)
-    assert G.order == n, "table does not describe a group"
+    if G.order != n:
+        raise ValueError("multiplication table does not describe a group")
     return G
 
 

@@ -107,7 +107,8 @@ class FieldSpec:
 
     @property
     def primitive(self) -> int:
-        return self.exp_table[1]
+        # the unit group of GF(2) is trivial, generated by 1
+        return self.exp_table[1 % (self.q - 1)]
 
     def elements(self) -> range:
         return range(self.q)

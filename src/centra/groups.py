@@ -1,16 +1,23 @@
 """Enumerated finite permutation groups and subgroup handles.
 
-A FiniteGroup is a fully enumerated closure of its generators with a
-canonical element order (lexicographic on image tuples), so two
-constructions of the same group index elements identically and subgroups
-can be stored as bit-sets over those indices.  Structural caches (orders,
-center, conjugacy classes) are filled once on demand; the computations are
-idempotent, so concurrent readers at worst repeat work.
+A FiniteGroup holds its elements as one C-contiguous int32 matrix
+``matrix``: row i is the image tuple of element i.  Rows are sorted
+lexicographically, so two constructions of the same group index elements
+identically (the identity is index 0) and subgroups can be stored as
+bit-sets over those indices.  One dict maps the bytes of a row back to its
+index; every index-level operation (products, inverses, conjugation batches,
+right-multiplication columns) computes image rows with numpy and looks them
+up there.  ``Perm`` objects are made only at the boundary, one index at a
+time with ``element(i)``; ``elements`` is a lazily cached tuple of all of
+them.  Structural caches (orders, center, conjugacy classes) are filled once
+on demand; the computations are idempotent, so concurrent readers at worst
+repeat work.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -20,18 +27,16 @@ from .perms import Perm
 
 DEFAULT_ORDER_CAP = 200_000
 
-# below this order, index-level multiplication tables are cheap to build
-_TABLE_LIMIT = 1400
-
 
 def close_generators(
     gens: Sequence[Perm], order_cap: int = DEFAULT_ORDER_CAP
 ) -> "FiniteGroup":
     """Enumerate the group generated by ``gens``.
 
-    Breadth-first closure over left multiplication by the generators,
-    followed by a canonical sort, so repeated runs index elements
-    identically.  Raises GroupTooLargeError beyond ``order_cap``.
+    Breadth-first closure over left multiplication by the generators, one
+    numpy batch per frontier and generator, followed by a canonical sort, so
+    repeated runs index elements identically.  Raises GroupTooLargeError
+    beyond ``order_cap``.
     """
     gens = list(gens)
     if not gens:
@@ -42,40 +47,49 @@ def close_generators(
             raise DegreeMismatchError(
                 f"generator degrees differ: {g.degree} vs {degree}"
             )
-    identity = Perm.identity(degree)
-    seen = {identity.images}
-    frontier = [identity]
-    elements = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g * x
-                if y.images not in seen:
-                    seen.add(y.images)
-                    elements.append(y)
-                    nxt.append(y)
+    # rows are big-endian here, so sorting their bytes sorts the image
+    # tuples lexicographically
+    A = np.array([g.images for g in gens], dtype=">i4")
+    frontier = np.arange(degree, dtype=">i4").reshape(1, degree)
+    seen = {frontier.tobytes()}
+    step = 4 * degree
+    while len(frontier):
+        new = []
+        for a in A:
+            prod = a[frontier].tobytes()  # rows of g * x for x in the frontier
+            for k in range(len(frontier)):
+                y = prod[k * step : (k + 1) * step]
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
                     if len(seen) > order_cap:
                         raise GroupTooLargeError(order_cap, len(seen))
-        frontier = nxt
-    return FiniteGroup(gens, elements)
+        frontier = np.frombuffer(b"".join(new), dtype=">i4").reshape(len(new), degree)
+    rows = sorted(seen)
+    del seen
+    # move the rows into the matrix one at a time, so that at most two copies
+    # of the elements are alive at once, then swap to native byte order
+    n = len(rows)
+    buf = bytearray(n * step)
+    for i in range(n - 1, -1, -1):
+        buf[i * step : (i + 1) * step] = rows.pop()
+    matrix = np.frombuffer(buf, dtype=">i4").reshape(n, degree)
+    return FiniteGroup(gens, matrix.byteswap(inplace=True).view(np.int32))
 
 
 class FiniteGroup:
     """A fully enumerated permutation group with canonical element indexing."""
 
-    def __init__(self, generators: Sequence[Perm], elements: Iterable[Perm]):
+    def __init__(self, generators: Sequence[Perm], matrix: np.ndarray):
+        """``matrix``: one image row per element, rows sorted lexicographically."""
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements, key=lambda p: p.images))
-        self.degree = self.elements[0].degree
-        self._index = {p.images: i for i, p in enumerate(self.elements)}
+        self.matrix = np.ascontiguousarray(matrix, dtype=np.int32)
+        self.matrix.flags.writeable = False
         # identity is lexicographically least among permutations, so index 0
-        if not self.elements[0].is_identity():
+        if not np.array_equal(self.matrix[0], np.arange(self.degree)):
             raise InvariantError("the identity must sort to index 0")
+        self._lookup = {row.tobytes(): i for i, row in enumerate(self.matrix)}
         self._orders: list[int] | None = None
-        self._table: list[list[int]] | None = None
-        self._np_elements: np.ndarray | None = None
-        self._row_bytes: dict[bytes, int] | None = None
         self._columns: dict[int, list[int]] = {}
         self._commute_masks: dict[int, int] = {}
         self._cyclic_masks: list[int] | None = None
@@ -87,27 +101,43 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.matrix.shape[0]
+
+    @property
+    def degree(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def identity_index(self) -> int:
         return 0
 
+    def element(self, i: int) -> Perm:
+        """The Perm of element index i, made on demand."""
+        return Perm._unchecked(tuple(self.matrix[i].tolist()))
+
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """Every element as a Perm, made on first use and kept."""
+        return tuple(self.element(i) for i in range(self.order))
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
 
+    def _key(self, p: Perm) -> bytes:
+        return np.array(p.images, dtype=np.int32).tobytes()
+
     def __contains__(self, p: Perm) -> bool:
-        return isinstance(p, Perm) and p.images in self._index
+        return isinstance(p, Perm) and self._key(p) in self._lookup
 
     def __repr__(self) -> str:
         return f"<FiniteGroup order={self.order} degree={self.degree}>"
 
     def index_of(self, p: Perm) -> int:
         try:
-            return self._index[p.images]
+            return self._lookup[self._key(p)]
         except KeyError:
             raise ValueError(f"{p!r} is not an element of this group") from None
 
@@ -116,60 +146,40 @@ class FiniteGroup:
 
     # -- index-level arithmetic -----------------------------------------
 
-    def _row_lookup(self) -> dict[bytes, int]:
-        if self._row_bytes is None:
-            E = self._np_matrix()
-            step = E.shape[1] * E.itemsize
-            buf = E.tobytes()
-            self._row_bytes = {
-                buf[i * step : (i + 1) * step]: i for i in range(self.order)
-            }
-        return self._row_bytes
-
-    def build_table(self) -> list[list[int]] | None:
-        """Build the index-level multiplication table (skipped above the limit).
-
-        Worth calling before subgroup-lattice enumeration or other workloads
-        that do many index-level multiplications; plain queries never need it.
-        """
-        if self._table is None and self.order <= _TABLE_LIMIT:
-            E = self._np_matrix()
-            lookup = self._row_lookup()
-            step = E.shape[1] * E.itemsize
-            n = self.order
-            table = []
-            for i in range(n):
-                buf = np.ascontiguousarray(E[i][E]).tobytes()
-                table.append([lookup[buf[j * step : (j + 1) * step]] for j in range(n)])
-            self._table = table
-        return self._table
+    def _indices(self, rows: np.ndarray) -> list[int]:
+        """Element indices of the rows of an int32 array of group elements."""
+        buf = rows.tobytes()
+        step = 4 * self.degree
+        lookup = self._lookup
+        return [lookup[buf[k * step : (k + 1) * step]] for k in range(len(rows))]
 
     def right_mult_column(self, j: int) -> list[int]:
         """column[x] = index of elements[x] * elements[j]; cached per j."""
         col = self._columns.get(j)
         if col is None:
-            E = self._np_matrix()
-            comp = np.ascontiguousarray(E[:, E[j]])
-            lookup = self._row_lookup()
-            step = E.shape[1] * E.itemsize
-            buf = comp.tobytes()
-            col = [lookup[buf[i * step : (i + 1) * step]] for i in range(self.order)]
-            self._columns[j] = col
+            E = self.matrix
+            col = self._columns[j] = self._indices(E[:, E[j]])
         return col
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (j applied first)."""
-        if self._table is not None:
-            return self._table[i][j]
-        s = self.elements[i].images
-        return self._index[tuple(s[v] for v in self.elements[j].images)]
+        E = self.matrix
+        return self._lookup[E[i][E[j]].tobytes()]
 
     def inv(self, i: int) -> int:
-        return self._index[self.elements[i].inverse().images]
+        return self._lookup[np.argsort(self.matrix[i]).astype(np.int32).tobytes()]
+
+    def conjugates(self, xs: Sequence[int], g: int) -> list[int]:
+        """Indices of g^-1 * x * g for each index x in ``xs``, in one batch."""
+        E = self.matrix
+        eg = E[g]
+        eg_inv = np.argsort(eg).astype(np.int32)
+        # row of g^-1 * x * g is i -> g^-1[x[g[i]]]
+        return self._indices(eg_inv[E[list(xs)][:, eg]])
 
     def conj(self, i: int, g: int) -> int:
         """Index of elements[i]^elements[g] = g^-1 * x * g."""
-        return self.mul(self.mul(self.inv(g), i), g)
+        return self.conjugates([i], g)[0]
 
     def power(self, i: int, k: int) -> int:
         """Index of elements[i]**k."""
@@ -185,7 +195,7 @@ class FiniteGroup:
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
-            self._orders = [p.order() for p in self.elements]
+            self._orders = [self.element(i).order() for i in range(self.order)]
         return self._orders
 
     def element_order(self, g: Perm | int) -> int:
@@ -229,19 +239,6 @@ class FiniteGroup:
             if not (mask >> s) & 1:
                 mask |= 1 << s
                 frontier.append(s)
-        if self._table is not None:
-            table = self._table
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    row = table[x]
-                    for g in seed:
-                        y = row[g]
-                        if not (mask >> y) & 1:
-                            mask |= 1 << y
-                            nxt.append(y)
-                frontier = nxt
-            return mask
         cols = [self.right_mult_column(g) for g in seed]
         while frontier:
             nxt = []
@@ -292,19 +289,12 @@ class FiniteGroup:
 
     # -- centralizers ------------------------------------------------------
 
-    def _np_matrix(self) -> np.ndarray:
-        if self._np_elements is None:
-            self._np_elements = np.array(
-                [p.images for p in self.elements], dtype=np.int32
-            )
-        return self._np_elements
-
     def commute_mask(self, i: int) -> int:
         """Bit-set of all elements commuting with elements[i]."""
         cached = self._commute_masks.get(i)
         if cached is not None:
             return cached
-        E = self._np_matrix()
+        E = self.matrix
         zi = E[i]
         # rows z * g against rows g * z
         flags = np.all(zi[E] == E[:, zi], axis=1)
@@ -342,15 +332,15 @@ class FiniteGroup:
 
     # -- conjugacy ---------------------------------------------------------
 
-    def _conjugates(self, seeds: list[int], pairs: list[tuple[int, int]]) -> set[int]:
-        """All conjugates of ``seeds`` under the (generator, inverse) ``pairs``."""
+    def _orbit(self, seeds: Iterable[int], gens: Sequence[int]) -> set[int]:
+        """All conjugates of ``seeds`` under <gens>, one batch per frontier
+        and generator."""
         out = set(seeds)
-        frontier = list(seeds)
+        frontier = sorted(out)
         while frontier:
             nxt = []
-            for x in frontier:
-                for g, gi in pairs:
-                    y = self.mul(self.mul(gi, x), g)
+            for g in gens:
+                for y in self.conjugates(frontier, g):
                     if y not in out:
                         out.add(y)
                         nxt.append(y)
@@ -360,12 +350,12 @@ class FiniteGroup:
     def conjugacy_classes(self) -> list[list[int]]:
         """Orbits of conjugation, each sorted, listed by least representative."""
         if self._classes is None:
-            pairs = [(g, self.inv(g)) for g in self.generator_indices()]
+            gens = self.generator_indices()
             seen = [False] * self.order
             classes = []
             for start in range(self.order):
                 if not seen[start]:
-                    orbit = sorted(self._conjugates([start], pairs))
+                    orbit = sorted(self._orbit([start], gens))
                     for y in orbit:
                         seen[y] = True
                     classes.append(orbit)
@@ -378,32 +368,15 @@ class FiniteGroup:
     def cyclic_orbit_reps(self, reps: list[int], gens: list[int]) -> list[int]:
         """Least member of each orbit of <gens>, acting by conjugation, on the
         cyclic subgroups <r> for r in ``reps`` (ascending cyclic_reps() fixed
-        points whose subgroups <gens> permutes).  One numpy batch per
-        generator; orbits are joined by union-find."""
-        E = self._np_matrix()
-        lookup = self._row_lookup()
-        step = E.shape[1] * E.itemsize
+        points whose subgroups <gens> permutes)."""
         crep = self.cyclic_reps()
-        pos = {r: k for k, r in enumerate(reps)}
-        root = list(range(len(reps)))
-
-        def find(k: int) -> int:
-            while root[k] != k:
-                root[k] = root[root[k]]
-                k = root[k]
-            return k
-
-        A = E[reps]
-        for g in gens:
-            eg = E[g]
-            eg_inv = np.argsort(eg).astype(E.dtype)
-            # rows of g^-1 * r * g, i.e. i -> g^-1[r[g[i]]]
-            buf = np.ascontiguousarray(eg_inv[A[:, eg]]).tobytes()
-            for k in range(len(reps)):
-                j = pos[crep[lookup[buf[k * step : (k + 1) * step]]]]
-                rk, rj = sorted((find(k), find(j)))
-                root[rj] = rk
-        return [r for k, r in enumerate(reps) if root[k] == k]
+        done: set[int] = set()
+        out = []
+        for r in reps:
+            if r not in done:
+                out.append(r)
+                done.update(crep[y] for y in self._orbit([r], gens))
+        return out
 
     # -- generated structure ------------------------------------------------
 
@@ -427,8 +400,7 @@ class FiniteGroup:
         indices = [
             self.index_of(s) if isinstance(s, Perm) else int(s) for s in seed
         ]
-        pairs = [(g, self.inv(g)) for g in self.generator_indices()]
-        conjugates = self._conjugates(indices, pairs)
+        conjugates = self._orbit(indices, self.generator_indices())
         return SubgroupRef(self, self.closure_mask(sorted(conjugates)))
 
     def commutator_subgroup(self, A: "SubgroupRef", B: "SubgroupRef") -> "SubgroupRef":
@@ -506,16 +478,14 @@ class SubgroupRef:
         return FiniteGroup.mask_indices(self.mask)
 
     def elements(self) -> list[Perm]:
-        return [self.parent.elements[i] for i in self.indices()]
+        return [self.parent.element(i) for i in self.indices()]
 
     def contains_index(self, i: int) -> bool:
         return bool((self.mask >> i) & 1)
 
     def __contains__(self, p) -> bool:
         if isinstance(p, Perm):
-            if p.images not in self.parent._index:
-                return False
-            return self.contains_index(self.parent.index_of(p))
+            return p in self.parent and self.contains_index(self.parent.index_of(p))
         return self.contains_index(int(p))
 
     def __le__(self, other: "SubgroupRef") -> bool:
@@ -549,7 +519,7 @@ class SubgroupRef:
         return gens
 
     def generators(self) -> list[Perm]:
-        return [self.parent.elements[i] for i in self.generating_set()]
+        return [self.parent.element(i) for i in self.generating_set()]
 
     def is_cyclic(self) -> bool:
         """True iff some member generates the whole subgroup."""
@@ -567,16 +537,11 @@ class SubgroupRef:
 
     def induced_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup (same degree)."""
-        return FiniteGroup(self.generators(), self.elements())
+        return FiniteGroup(self.generators(), self.parent.matrix[self.indices()])
 
     def conjugate_mask(self, g: int) -> int:
         """Bit-set of self^g."""
-        p = self.parent
-        gi = p.inv(g)
-        m = 0
-        for i in self.indices():
-            m |= 1 << p.mul(p.mul(gi, i), g)
-        return m
+        return self.parent.mask_of(self.parent.conjugates(self.indices(), g))
 
     def is_normal(self) -> bool:
         return all(

@@ -56,7 +56,6 @@ def all_subgroups(
     """Every subgroup of G, for |G| up to the brute-force cap."""
     if G.order > cap:
         raise SubgroupCapError(G.order, cap)
-    G.build_table()
     cyc_masks = G.cyclic_masks()
     reps = G.cyclic_reps()
     rep_indices = sorted(i for i in range(G.order) if reps[i] == i and i != 0)

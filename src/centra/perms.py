@@ -29,6 +29,13 @@ class Perm:
             seen[v] = True
         object.__setattr__(self, "images", imgs)
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> Perm:
+        """Wrap an image tuple already known to be a bijection."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
 
@@ -52,13 +59,13 @@ class Perm:
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
         s = self.images
-        return Perm(s[v] for v in other.images)
+        return Perm._unchecked(tuple(s[v] for v in other.images))
 
     def inverse(self) -> Perm:
         inv = [0] * len(self.images)
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Perm(inv)
+        return Perm._unchecked(tuple(inv))
 
     def __pow__(self, k: int) -> Perm:
         if k < 0:
@@ -125,11 +132,6 @@ class Perm:
         if isinstance(data, str):
             data = json.loads(data)
         return Perm(int(v) for v in data)
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Compose two permutations, applying q first: compose(p, q)[i] = p[q[i]]."""
-    return p * q
 
 
 def parse_cycles(text: str, degree: int) -> Perm:

@@ -30,7 +30,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from .errors import EnumerationInconclusiveError, PresentationSyntaxError
+from .errors import (
+    EnumerationInconclusiveError,
+    GroupTooLargeError,
+    InvariantError,
+    PresentationSyntaxError,
+)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, close_generators
 from .perms import Perm
 
@@ -447,7 +452,8 @@ def todd_coxeter(
                     if ct.table[alpha][col] is None:
                         ct.define(alpha, col)
         alpha += 1
-    assert ct.is_closed()
+    if not ct.is_closed():
+        raise InvariantError("coset table is not closed after enumeration")
     return ct
 
 
@@ -471,10 +477,12 @@ class RealizedPresentation:
 
 def group_from_table(ct: CosetTable,
                      order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    perms = ct.generator_perms()
     n = ct.live_count()
-    G = close_generators(perms, max(order_cap, n))
-    assert G.order == n, "coset action order differs from live-coset count"
+    if n > order_cap:
+        raise GroupTooLargeError(order_cap, n)
+    G = close_generators(ct.generator_perms(), order_cap)
+    if G.order != n:
+        raise InvariantError("coset action order differs from live-coset count")
     return G
 
 

@@ -30,7 +30,6 @@ from .constructors import (
     generalized_quaternion,
     is_fermat_prime,
     is_mersenne_prime,
-    least_primitive_root,
     parse_group_spec,
     power_automorphism,
     projective_plane_perm,
@@ -40,8 +39,8 @@ from .constructors import (
     semidirect,
     symmetric,
 )
-from .errors import CentraError, GroupTooLargeError, SubgroupCapError
-from .fields import factorize, is_prime
+from .errors import CentraError, GroupTooLargeError, InvariantError, SubgroupCapError
+from .fields import factorize, gf, is_prime
 from .groups import FiniteGroup, close_generators
 from .lattice import all_subgroups, normalizer, sylow_subgroup
 from .perms import Perm, parse_cycles
@@ -196,7 +195,7 @@ def frobenius_metacyclic(q: int, d: int) -> FiniteGroup:
 
 
 def _power_of_order(q: int, d: int) -> int:
-    g = least_primitive_root(q)
+    g = gf(q).primitive
     if (q - 1) % d:
         raise ValueError(f"no multiplicative element of order {d} mod {q}")
     return pow(g, (q - 1) // d, q)
@@ -247,7 +246,8 @@ def quaternion_on_c3() -> tuple[FiniteGroup, ActionSpec]:
     for pos, gi in enumerate(D.generator_indices()):
         images[pos] = identity if (kernel >> gi) & 1 else inversion
     spec = ActionSpec(D, cyclic(3), images)
-    assert any(img.images != (0, 1, 2) for img in spec.images.values())
+    if all(img.images == (0, 1, 2) for img in spec.images.values()):
+        raise InvariantError("Q8 acts trivially on C3")
     return semidirect(spec), spec
 
 

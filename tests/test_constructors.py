@@ -16,7 +16,6 @@ from centra.constructors import (
     generalized_quaternion,
     is_fermat_prime,
     is_mersenne_prime,
-    least_primitive_root,
     parse_group_spec,
     power_automorphism,
     projective_plane_perm,
@@ -165,6 +164,8 @@ def test_psl3_witness_pair():
     assert (a * a).is_identity()
     assert b.order() == 6
     assert a.inverse() * b * a == b.inverse()
+    with pytest.raises(ValueError):
+        psl3_witness_pair(2)
 
 
 def test_projective_plane_perm_is_action_homomorphism():
@@ -178,12 +179,6 @@ def test_projective_plane_perm_is_action_homomorphism():
     assert projective_plane_perm(p, m1) * projective_plane_perm(
         p, m2
     ) == projective_plane_perm(p, prod)
-
-
-def test_least_primitive_root():
-    assert least_primitive_root(7) == 3
-    assert least_primitive_root(5) == 2
-    assert least_primitive_root(17) == 3
 
 
 def test_semidirect_inverting_action_gives_symmetric_3():

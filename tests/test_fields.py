@@ -64,6 +64,13 @@ def test_bundled_polynomials():
     assert gf(3, 2).irreducible == (1, 0, 1)
 
 
+def test_primitive_is_least_primitive_root():
+    assert gf(7).primitive == 3
+    assert gf(5).primitive == 2
+    assert gf(17).primitive == 3
+    assert gf(2).primitive == 1  # the trivial unit group
+
+
 def test_exp_log_inverse_relation():
     F = gf(3, 2)
     for x in range(1, F.q):

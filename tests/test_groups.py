@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from centra.constructors import (
@@ -12,7 +14,7 @@ from centra.constructors import (
 )
 from centra.errors import GroupTooLargeError, InvariantError
 from centra.groups import FiniteGroup, SubgroupRef, close_generators
-from centra.perms import Perm, parse_cycles
+from centra.perms import Perm, parse_cycles, perms_from_cycles
 
 
 def s3():
@@ -254,3 +256,90 @@ def test_direct_product_order():
     G = direct_product(cyclic(6), cyclic(2))
     assert G.order == 12
     assert G.is_abelian
+
+
+# -- the element matrix against plain Perm arithmetic ----------------------------
+
+
+def _reference_elements(gens):
+    """Perm-by-Perm breadth-first closure, sorted by image tuple."""
+    identity = Perm.identity(gens[0].degree)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = g * x
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _reference_groups():
+    from centra.constructors import parse_group_spec
+    from centra.presentations import parse_presentation, realize
+    from centra.verify import _data_text
+
+    groups = {s: parse_group_spec(s) for s in ("dihedral:64", "psl2:7", "sym:5")}
+    pres = parse_presentation(_data_text("ex_order18.pres"))
+    groups["ex_order18"] = realize(pres, "auto", 18).group
+    # image values above 255, so the byte order of the sort matters
+    pres = parse_presentation("gens: a b\na^131 = 1\nb^2 = 1\n(ab)^2 = 1\n")
+    groups["dihedral-262"] = realize(pres, "auto", 262).group
+    S5 = groups["sym:5"]
+    a4 = S5.generated_subgroup(perms_from_cycles(["(1,2,3)", "(2,3,4)"], 5))
+    groups["induced:alt4"] = a4.induced_group()
+    return groups
+
+
+REFERENCE_GROUPS = _reference_groups()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_element_matrix_matches_perm_closure(name):
+    G = REFERENCE_GROUPS[name]
+    ref = _reference_elements(list(G.generators))
+    assert [p.images for p in G] == [p.images for p in ref]
+    assert G.matrix.dtype == np.int32 and G.matrix.flags.c_contiguous
+    assert G.matrix.tolist() == [list(p.images) for p in ref]
+    assert all(G.index_of(p) == i for i, p in enumerate(ref))
+    if name in ("ex_order18", "dihedral-262"):
+        assert G.degree == G.order
+    if name == "induced:alt4":
+        assert G.order == 12
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_index_arithmetic_matches_perm_arithmetic(name):
+    G = REFERENCE_GROUPS[name]
+    el = G.elements
+    rng = random.Random(name)
+    for _ in range(60):
+        i, j = rng.randrange(G.order), rng.randrange(G.order)
+        k = rng.randrange(-7, 8)
+        assert el[G.mul(i, j)] == el[i] * el[j]
+        assert el[G.inv(i)] == el[i].inverse()
+        assert el[G.conj(i, j)] == el[i].conjugate_by(el[j])
+        assert el[G.power(i, k)] == el[i] ** k
+        assert G.element(i) == el[i]
+    for _ in range(5):
+        g = rng.randrange(G.order)
+        xs = rng.sample(range(G.order), min(G.order, 9))
+        assert [el[y] for y in G.conjugates(xs, g)] == [
+            el[x].conjugate_by(el[g]) for x in xs
+        ]
+    assert G.conjugates([], 0) == []
+
+
+# the brute force takes seconds on the order-262 group
+@pytest.mark.parametrize("name", sorted(set(REFERENCE_GROUPS) - {"dihedral-262"}))
+def test_conjugacy_classes_match_brute_force(name):
+    G = REFERENCE_GROUPS[name]
+    el = G.elements
+    classes = {
+        tuple(sorted({G.index_of(x.conjugate_by(g)) for g in el})) for x in el
+    }
+    assert G.conjugacy_classes() == sorted(list(c) for c in classes)

@@ -3,14 +3,14 @@ import json
 import pytest
 
 from centra.errors import DegreeMismatchError
-from centra.perms import Perm, compose, parse_cycles
+from centra.perms import Perm, parse_cycles
 
 
 def test_identity_composition():
     p = Perm([2, 0, 1, 3])
     e = Perm.identity(4)
-    assert compose(e, p) == p
-    assert compose(p, e) == p
+    assert e * p == p
+    assert p * e == p
 
 
 def test_compose_applies_right_factor_first():
@@ -18,24 +18,24 @@ def test_compose_applies_right_factor_first():
     # (0 1) after (1 2): 0 ->q 0 ->p 1,  1 ->q 2 ->p 2,  2 ->q 1 ->p 0
     p = parse_cycles("(1,2)", 3)
     q = parse_cycles("(2,3)", 3)
-    assert compose(p, q).images == (1, 2, 0)
+    assert (p * q).images == (1, 2, 0)
     # the other order gives the other 3-cycle
-    assert compose(q, p).images == (2, 0, 1)
+    assert (q * p).images == (2, 0, 1)
     # pointwise statement of the defining formula
-    r = compose(p, q)
+    r = p * q
     for i in range(3):
         assert r(i) == p(q(i))
 
 
 def test_compose_with_inverse_is_identity():
     p = Perm([3, 1, 4, 0, 2])
-    assert compose(p, p.inverse()).is_identity()
-    assert compose(p.inverse(), p).is_identity()
+    assert (p * p.inverse()).is_identity()
+    assert (p.inverse() * p).is_identity()
 
 
 def test_degree_mismatch_rejected():
     with pytest.raises(DegreeMismatchError):
-        compose(Perm([1, 0]), Perm([1, 2, 0]))
+        Perm([1, 0]) * Perm([1, 2, 0])
 
 
 def test_not_a_bijection_rejected():

@@ -1,6 +1,10 @@
 import pytest
 
-from centra.errors import EnumerationInconclusiveError, PresentationSyntaxError
+from centra.errors import (
+    EnumerationInconclusiveError,
+    GroupTooLargeError,
+    PresentationSyntaxError,
+)
 from centra.presentations import (
     CosetTable,
     group_from_table,
@@ -118,6 +122,15 @@ def test_collapse_to_trivial_group_is_valid():
     assert ct.live_count() == 1
     G = group_from_table(ct)
     assert G.order == 1
+
+
+def test_group_from_table_keeps_order_cap():
+    ct = todd_coxeter(parse_presentation("gens: a\na^12 = 1\n"), "A")
+    assert ct.live_count() == 12
+    with pytest.raises(GroupTooLargeError) as err:
+        group_from_table(ct, order_cap=10)
+    assert (err.value.cap, err.value.partial_count) == (10, 12)
+    assert group_from_table(ct, order_cap=12).order == 12
 
 
 def test_enumeration_limit_is_inconclusive():
