@@ -145,7 +145,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(result.summary(), file=sys.stderr)
         return result.exit_code
 
-    raise AssertionError(f"unhandled command {args.command}")
+    raise InvariantError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvariantError
+
 MAX_FIELD_SIZE = 4096
 
 # deterministic moduli for the fields the projective constructions rely on
@@ -207,7 +209,7 @@ def gf(p: int, m: int = 1) -> FieldSpec:
     elif (p, m) in _BUNDLED_POLYS:
         irreducible = _BUNDLED_POLYS[(p, m)]
         if not _poly_is_irreducible(irreducible, p):
-            raise AssertionError("bundled polynomial is reducible")
+            raise InvariantError("bundled polynomial is reducible")
     else:
         irreducible = None
         for packed in range(q):
@@ -220,7 +222,7 @@ def gf(p: int, m: int = 1) -> FieldSpec:
                 irreducible = cand
                 break
         if irreducible is None:
-            raise AssertionError(f"no irreducible polynomial found for GF({q})")
+            raise InvariantError(f"no irreducible polynomial found for GF({q})")
 
     # find a primitive element by order computation
     group_order = q - 1
@@ -231,7 +233,7 @@ def gf(p: int, m: int = 1) -> FieldSpec:
             x = _raw_mul(x, g, p, m, irreducible)
             order += 1
             if order > group_order:
-                raise AssertionError("unit order exceeded q-1; field broken")
+                raise InvariantError("unit order exceeded q-1; field broken")
         if order == group_order:
             primitive = g
             break
@@ -239,7 +241,7 @@ def gf(p: int, m: int = 1) -> FieldSpec:
         if q == 2:
             primitive = 1
         else:
-            raise AssertionError(f"no primitive element in GF({q})")
+            raise InvariantError(f"no primitive element in GF({q})")
 
     exp_table = [1] * max(group_order, 1)
     log_table = [0] * q
@@ -249,6 +251,6 @@ def gf(p: int, m: int = 1) -> FieldSpec:
         log_table[x] = i
         x = _raw_mul(x, primitive, p, m, irreducible)
     if x != 1:
-        raise AssertionError("primitive element does not have order q-1")
+        raise InvariantError("primitive element does not have order q-1")
     return FieldSpec(p=p, m=m, irreducible=irreducible,
                      exp_table=exp_table, log_table=log_table)

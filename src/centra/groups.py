@@ -11,13 +11,16 @@ up there.  ``Perm`` objects are made only at the boundary, one index at a
 time with ``element(i)``; ``elements`` is a lazily cached tuple of all of
 them.  Structural caches (orders, center, conjugacy classes) are filled once
 on demand; the computations are idempotent, so concurrent readers at worst
-repeat work.
+repeat work.  Element orders and cyclic masks come from one walk over the
+cyclic subgroups at index level, never from a cycle walk of each element's
+permutation, so no Python loop runs over the degree.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -195,7 +198,7 @@ class FiniteGroup:
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
-            self._orders = [self.element(i).order() for i in range(self.order)]
+            self._walk_cyclic_subgroups()
         return self._orders
 
     def element_order(self, g: Perm | int) -> int:
@@ -254,27 +257,39 @@ class FiniteGroup:
     def cyclic_masks(self) -> list[int]:
         """For each element index i, the bit-set of <elements[i]>."""
         if self._cyclic_masks is None:
-            masks = [0] * self.order
-            masks[0] = 1
-            for i in range(1, self.order):
-                if masks[i]:
-                    continue
-                # walk the cyclic group once; every generator of it shares it
-                powers = [0, i]
-                cur = i
-                while True:
-                    cur = self.mul(cur, i)
-                    if cur == 0:
-                        break
-                    powers.append(cur)
-                m = self.mask_of(powers)
-                k = len(powers)
-                orders = self.element_orders()
-                for j in powers:
-                    if orders[j] == k:
-                        masks[j] = m
-            self._cyclic_masks = masks
+            self._walk_cyclic_subgroups()
         return self._cyclic_masks
+
+    def _walk_cyclic_subgroups(self) -> None:
+        """Fill the element orders and cyclic masks in one walk.
+
+        Each cyclic subgroup <i> is walked once, from its least generator i:
+        in <i> of order k the power i^m has order k / gcd(m, k) and generates
+        <i> iff gcd(m, k) = 1, so every element gets its order and mask from
+        the walk of the subgroup it generates.
+        """
+        n = self.order
+        orders = [1] * n
+        masks = [0] * n
+        masks[0] = 1
+        for i in range(1, n):
+            if masks[i]:
+                continue
+            powers = [0, i]
+            cur = i
+            while True:
+                cur = self.mul(cur, i)
+                if cur == 0:
+                    break
+                powers.append(cur)
+            m = self.mask_of(powers)
+            k = len(powers)
+            for e in range(1, k):
+                g = gcd(e, k)
+                orders[powers[e]] = k // g
+                if g == 1:
+                    masks[powers[e]] = m
+        self._orders, self._cyclic_masks = orders, masks
 
     def cyclic_reps(self) -> list[int]:
         """cyclic_reps()[i] = least j with <elements[j]> == <elements[i]>."""

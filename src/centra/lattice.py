@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import SubgroupCapError
+from .errors import InvariantError, SubgroupCapError
 from .fields import is_prime
 from .groups import FiniteGroup, SubgroupRef
 
@@ -161,7 +161,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupRef:
                 grown = True
                 break
         if not grown:
-            raise AssertionError("Sylow growth stalled; should be impossible")
+            raise InvariantError("Sylow growth stalled; should be impossible")
 
     # all Sylow p-subgroups are conjugate; take the least bit-set
     best = P.mask

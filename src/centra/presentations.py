@@ -73,7 +73,7 @@ def _flatten(node, convention: str) -> list[int]:
         if convention == "A":
             return u + v + _invert(u) + _invert(v)
         return _invert(u) + _invert(v) + u + v
-    raise AssertionError(f"unknown node {node!r}")
+    raise InvariantError(f"unknown node {node!r}")
 
 
 def _invert(word: list[int]) -> list[int]:
@@ -302,16 +302,26 @@ class _WordParser:
 class CosetTable:
     """HLT working state over the trivial subgroup.
 
-    Columns alternate generator / inverse: column 2i is generator i,
-    column 2i+1 its inverse.  Row 0 is the coset of the trivial subgroup.
+    The table is stored by column: ``cols[c][k]`` is the coset that column c
+    sends coset k to, or -1 where that entry is undefined.  Column 2i is
+    generator i, column 2i+1 its inverse.  Coset 0 is the coset of the
+    trivial subgroup.  ``p`` is the union-find parent list; coset k is live
+    iff ``p[k] == k``.  Columns only ever grow in place, so a relator
+    compiled to column lists (``compile``) stays valid for the whole run.
     """
 
     def __init__(self, num_generators: int, max_cosets: int = DEFAULT_MAX_COSETS):
         self.num_generators = num_generators
         self.ncols = 2 * num_generators
         self.max_cosets = max_cosets
-        self.table: list[list[int | None]] = [[None] * self.ncols]
+        self.cols: list[list[int]] = [[-1] for _ in range(self.ncols)]
         self.p: list[int] = [0]
+
+    @property
+    def table(self) -> list[list[int | None]]:
+        """A row per defined coset, ``None`` where undefined (a fresh copy)."""
+        return [[None if c[k] < 0 else c[k] for c in self.cols]
+                for k in range(len(self.p))]
 
     @staticmethod
     def column(signed_gen: int) -> int:
@@ -319,22 +329,31 @@ class CosetTable:
             return 2 * (signed_gen - 1)
         return 2 * (-signed_gen - 1) + 1
 
+    def compile(self, word: list[int]) -> tuple[list, list, list[int]]:
+        """A relator as (forward column lists, inverse column lists, column
+        numbers), one entry per letter."""
+        nums = [self.column(g) for g in word]
+        return ([self.cols[c] for c in nums], [self.cols[c ^ 1] for c in nums],
+                nums)
+
     def rep(self, k: int) -> int:
+        p = self.p
         root = k
-        while self.p[root] != root:
-            root = self.p[root]
-        while self.p[k] != root:
-            self.p[k], k = root, self.p[k]
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
         return root
 
     def define(self, alpha: int, col: int) -> int:
-        if len(self.table) >= self.max_cosets:
-            raise EnumerationInconclusiveError(self.max_cosets, len(self.table))
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
+        beta = len(self.p)
+        if beta >= self.max_cosets:
+            raise EnumerationInconclusiveError(self.max_cosets, beta)
+        for c in self.cols:
+            c.append(-1)
         self.p.append(beta)
-        self.table[alpha][col] = beta
-        self.table[beta][col ^ 1] = alpha
+        self.cols[col][alpha] = beta
+        self.cols[col ^ 1][beta] = alpha
         return beta
 
     def _merge(self, a: int, b: int, queue: deque) -> None:
@@ -349,52 +368,54 @@ class CosetTable:
     def coincidence(self, alpha: int, beta: int) -> None:
         queue: deque[int] = deque()
         self._merge(alpha, beta, queue)
+        pairs = [(c, self.cols[col ^ 1]) for col, c in enumerate(self.cols)]
+        rep, merge = self.rep, self._merge
         while queue:
             gamma = queue.popleft()
-            for col in range(self.ncols):
-                delta = self.table[gamma][col]
-                if delta is None:
+            for fwd, bwd in pairs:
+                delta = fwd[gamma]
+                if delta < 0:
                     continue
-                self.table[delta][col ^ 1] = None
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
-                if self.table[mu][col] is not None:
-                    self._merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][col ^ 1] is not None:
-                    self._merge(mu, self.table[nu][col ^ 1], queue)
+                bwd[delta] = -1
+                mu = rep(gamma)
+                nu = rep(delta)
+                if fwd[mu] >= 0:
+                    merge(nu, fwd[mu], queue)
+                elif bwd[nu] >= 0:
+                    merge(mu, bwd[nu], queue)
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
+                    fwd[mu] = nu
+                    bwd[nu] = mu
 
-    def scan_and_fill(self, alpha: int, word: list[int]) -> None:
+    def scan_and_fill(self, alpha: int, rel: tuple[list, list, list[int]]) -> None:
+        """Scan a compiled relator from coset alpha, defining cosets until it
+        closes; a deduction or coincidence ends the scan."""
+        fwd, bwd, nums = rel
         f, i = alpha, 0
-        b, j = alpha, len(word) - 1
+        b, j = alpha, len(nums) - 1
         while True:
-            while i <= j:
-                nxt = self.table[f][self.column(word[i])]
-                if nxt is None:
+            for i in range(i, j + 1):
+                nxt = fwd[i][f]
+                if nxt < 0:
                     break
                 f = nxt
-                i += 1
-            if i > j:
+            else:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i:
-                prv = self.table[b][self.column(-word[j])]
-                if prv is None:
+            for j in range(j, i - 1, -1):
+                prv = bwd[j][b]
+                if prv < 0:
                     break
                 b = prv
-                j -= 1
-            if j < i:
+            else:
                 self.coincidence(f, b)
                 return
             if j == i:
-                col = self.column(word[i])
-                self.table[f][col] = b
-                self.table[b][col ^ 1] = f
+                fwd[i][f] = b
+                bwd[i][b] = f
                 return
-            self.define(f, self.column(word[i]))
+            self.define(f, nums[i])
 
     def live_count(self) -> int:
         return sum(1 for i in range(len(self.p)) if self.p[i] == i)
@@ -403,11 +424,9 @@ class CosetTable:
         return [i for i in range(len(self.p)) if self.p[i] == i]
 
     def is_closed(self) -> bool:
-        return all(
-            self.table[i][c] is not None and self.p[self.table[i][c]] == self.table[i][c]
-            for i in self.live_cosets()
-            for c in range(self.ncols)
-        )
+        p = self.p
+        live = self.live_cosets()
+        return all(c[i] >= 0 and p[c[i]] == c[i] for c in self.cols for i in live)
 
     def generator_perms(self) -> list[Perm]:
         """Permutations of the live cosets, renumbered by definition order.
@@ -421,8 +440,8 @@ class CosetTable:
         new_index = {c: k for k, c in enumerate(live)}
         perms = []
         for g in range(self.num_generators):
-            col = 2 * g + 1
-            images = [new_index[self.rep(self.table[c][col])] for c in live]
+            col = self.cols[2 * g + 1]
+            images = [new_index[self.rep(col[c])] for c in live]
             perms.append(Perm(images))
         return perms
 
@@ -438,18 +457,19 @@ def todd_coxeter(
     coset limit (not a proof of infinitude); total collapse to one coset is
     a valid result describing the trivial group.
     """
-    relators = pres.relators(convention)
     ct = CosetTable(pres.num_generators, max_cosets)
+    relators = [ct.compile(word) for word in pres.relators(convention)]
+    p, cols = ct.p, ct.cols
     alpha = 0
-    while alpha < len(ct.table):
-        if ct.p[alpha] == alpha:
+    while alpha < len(p):
+        if p[alpha] == alpha:
             for rel in relators:
                 ct.scan_and_fill(alpha, rel)
-                if ct.p[alpha] != alpha:
+                if p[alpha] != alpha:
                     break
-            if ct.p[alpha] == alpha:
-                for col in range(ct.ncols):
-                    if ct.table[alpha][col] is None:
+            if p[alpha] == alpha:
+                for col, c in enumerate(cols):
+                    if c[alpha] < 0:
                         ct.define(alpha, col)
         alpha += 1
     if not ct.is_closed():
@@ -498,7 +518,10 @@ def realize(
     With convention "auto", both commutator conventions are enumerated and
     the one matching ``order_hint`` wins (ties go to A); without a hint the
     larger resulting order wins, treating collapse as the sign of a wrong
-    convention.  Raises if every attempted convention is inconclusive.
+    convention.  When the two conventions give the same relators (no
+    bracket changes them), A's table stands for B as well, so the
+    presentation is enumerated once.  Raises if every attempted convention
+    is inconclusive.
     """
     if convention in CONVENTIONS:
         ct = todd_coxeter(pres, convention, max_cosets)
@@ -513,7 +536,11 @@ def realize(
 
     tables: dict[str, CosetTable | None] = {}
     orders: dict[str, int | None] = {}
+    same = pres.relators("A") == pres.relators("B")
     for conv in CONVENTIONS:
+        if same and conv != "A":
+            tables[conv], orders[conv] = tables["A"], orders["A"]
+            continue
         try:
             ct = todd_coxeter(pres, conv, max_cosets)
             tables[conv] = ct

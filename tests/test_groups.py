@@ -278,6 +278,15 @@ def _reference_elements(gens):
     return sorted(seen)
 
 
+def _dihedral_262():
+    """Degree = order = 262, with image values above 255, so the byte order
+    of the sort matters."""
+    from centra.presentations import parse_presentation, realize
+
+    pres = parse_presentation("gens: a b\na^131 = 1\nb^2 = 1\n(ab)^2 = 1\n")
+    return realize(pres, "auto", 262).group
+
+
 def _reference_groups():
     from centra.constructors import parse_group_spec
     from centra.presentations import parse_presentation, realize
@@ -286,9 +295,7 @@ def _reference_groups():
     groups = {s: parse_group_spec(s) for s in ("dihedral:64", "psl2:7", "sym:5")}
     pres = parse_presentation(_data_text("ex_order18.pres"))
     groups["ex_order18"] = realize(pres, "auto", 18).group
-    # image values above 255, so the byte order of the sort matters
-    pres = parse_presentation("gens: a b\na^131 = 1\nb^2 = 1\n(ab)^2 = 1\n")
-    groups["dihedral-262"] = realize(pres, "auto", 262).group
+    groups["dihedral-262"] = _dihedral_262()
     S5 = groups["sym:5"]
     a4 = S5.generated_subgroup(perms_from_cycles(["(1,2,3)", "(2,3,4)"], 5))
     groups["induced:alt4"] = a4.induced_group()
@@ -343,3 +350,27 @@ def test_conjugacy_classes_match_brute_force(name):
         tuple(sorted({G.index_of(x.conjugate_by(g)) for g in el})) for x in el
     }
     assert G.conjugacy_classes() == sorted(list(c) for c in classes)
+
+
+# fresh groups, so that each test fills the order and mask caches itself
+@pytest.mark.parametrize(
+    "name", ["dihedral:64", "psl2:7", "sym:5", "abelian:12,36", "dihedral-262"]
+)
+@pytest.mark.parametrize("first", ["orders", "masks"])
+def test_orders_and_cyclic_masks_match_power_loop(name, first):
+    from centra.constructors import parse_group_spec
+
+    G = _dihedral_262() if name == "dihedral-262" else parse_group_spec(name)
+    if first == "orders":
+        orders, masks = G.element_orders(), G.cyclic_masks()
+    else:
+        masks, orders = G.cyclic_masks(), G.element_orders()
+    assert orders == [G.element(i).order() for i in range(G.order)]
+    identity = Perm.identity(G.degree)
+    for i in range(G.order):
+        g = G.element(i)
+        power, mask = g, 1
+        while power != identity:
+            mask |= 1 << G.index_of(power)
+            power = power * g
+        assert masks[i] == mask, i

@@ -1,5 +1,6 @@
 import pytest
 
+from centra import presentations
 from centra.errors import (
     EnumerationInconclusiveError,
     GroupTooLargeError,
@@ -223,3 +224,84 @@ def test_column_indexing():
     assert CosetTable.column(-1) == 1
     assert CosetTable.column(2) == 2
     assert CosetTable.column(-2) == 3
+
+
+# cosets defined (len(ct.table)) and live at the end of HLT enumeration; any
+# change in definition order moves the first number
+ENUMERATION_COUNTS = [
+    ("ex_order18.pres", "A", 40, 18),
+    ("ex_order18.pres", "B", 23, 2),
+    ("ex_order147.pres", "A", 110, 3),
+    ("ex_order147.pres", "B", 556, 147),
+    ("ex_order24.pres", "A", 28, 8),
+    ("ex_order24.pres", "B", 45, 24),
+    ("ex_order12.pres", "A", 18, 4),
+    ("ex_order12.pres", "B", 21, 12),
+    ("ex_order75.pres", "A", 141, 3),
+    ("ex_order75.pres", "B", 252, 75),
+    ("abelian-12x36", "B", 4535, 432),
+    ("heisenberg-7", "B", 2287, 343),
+]
+
+GENERATED_PRESENTATIONS = {
+    "abelian-12x36": "gens: a b\na^12 = 1\nb^36 = 1\n[a,b] = 1\n",
+    "heisenberg-7": (
+        "gens: x y z\nx^7 = 1\ny^7 = 1\nz^7 = 1\n"
+        "[x,y] = z\n[x,z] = 1\n[y,z] = 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name,conv,defined,live", ENUMERATION_COUNTS)
+def test_enumeration_work_counts(name, conv, defined, live):
+    text = GENERATED_PRESENTATIONS.get(name) or _data_text(name)
+    ct = todd_coxeter(parse_presentation(text), conv)
+    assert (len(ct.table), ct.live_count()) == (defined, live)
+    assert len(ct.p) == defined
+
+
+def _counting_todd_coxeter(monkeypatch):
+    calls = []
+    real = presentations.todd_coxeter
+
+    def counted(pres, convention, *args, **kwargs):
+        calls.append(convention)
+        return real(pres, convention, *args, **kwargs)
+
+    monkeypatch.setattr(presentations, "todd_coxeter", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text,n", [
+    ("gens: a\na^40 = 1\n", 40),
+    ("gens: a b\na^9 = 1\nb^2 = 1\n(ab)^2 = 1\n", 18),
+], ids=["cyclic-40", "dihedral-18"])
+def test_realize_auto_enumerates_once_without_brackets(monkeypatch, text, n):
+    calls = _counting_todd_coxeter(monkeypatch)
+    r = realize(parse_presentation(text), "auto", n)
+    assert calls == ["A"]
+    assert r.orders == {"A": n, "B": n}
+    assert (r.convention, r.order) == ("A", n)
+
+
+def test_realize_auto_enumerates_both_conventions_with_brackets(monkeypatch):
+    calls = _counting_todd_coxeter(monkeypatch)
+    r = realize(parse_presentation(_data_text("ex_order147.pres")), "auto", 147)
+    assert calls == ["A", "B"]
+    assert r.orders == {"A": 3, "B": 147}
+    assert (r.convention, r.order) == ("B", 147)
+
+
+def test_realize_auto_shares_an_inconclusive_enumeration(monkeypatch):
+    calls = _counting_todd_coxeter(monkeypatch)
+    with pytest.raises(EnumerationInconclusiveError):
+        realize(parse_presentation("gens: a b\na^2 = 1\n"), "auto", max_cosets=300)
+    assert calls == ["A"]
+
+
+def test_table_rows_mark_undefined_entries_with_none():
+    ct = CosetTable(2)
+    assert ct.table == [[None, None, None, None]]
+    beta = ct.define(0, 2)
+    assert beta == 1
+    assert ct.table == [[None, None, 1, None], [None, None, None, 0]]
