@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvalidActionError, InvariantError
 from .fields import FieldSpec, gf, is_prime
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, close_generators
@@ -409,15 +411,26 @@ def power_automorphism(G: FiniteGroup, k: int) -> Perm:
 
 
 def _check_automorphism(N: FiniteGroup, img: Perm, label) -> None:
+    """Check that the bijection ``img`` of N's element indices is an
+    automorphism, testing im(x * g) = im(x) * im(g) for every x and each
+    generator g of N only.
+
+    That suffices: every y in N is a word g_1 ... g_k in the generators (an
+    inverse is a positive power in a finite group), and k steps give
+    im(x * y) = im(x) * im(g_1) ... im(g_k) for all x.  With x = 1 this is
+    im(y) = im(1) * im(g_1) ... im(g_k), and im(1) = 1 since
+    im(g) = im(1 * g) = im(1) * im(g); so im(x * y) = im(x) * im(y).
+    """
     if img.images[0] != 0:
         raise InvalidActionError(f"image for generator {label} moves the identity")
-    im = img.images
-    for i in range(N.order):
-        for j in range(N.order):
-            if im[N.mul(i, j)] != N.mul(im[i], im[j]):
-                raise InvalidActionError(
-                    f"image for generator {label} is not an automorphism"
-                )
+    im = np.array(img.images)
+    for g in N.generator_indices():
+        # im[x * g] against im[x] * im[g], over every x at once
+        by_g, by_img = N.right_mult_indices(g), N.right_mult_indices(im[g])
+        if not np.array_equal(im[by_g], by_img[im]):
+            raise InvalidActionError(
+                f"image for generator {label} is not an automorphism"
+            )
 
 
 def semidirect(spec: ActionSpec,

@@ -235,6 +235,20 @@ def test_invalid_actions_rejected():
         ActionSpec(cyclic(3), cyclic(3), {0: Perm([0, 2, 1])})
 
 
+def test_bijection_respecting_one_generator_only_is_rejected():
+    # im translates the coset g2<g1> by g1 and fixes every other element, so
+    # im(x * g1) = im(x) * im(g1) for all x, but im(g2 * g2) != im(g2)^2
+    N = abelian([3, 3])
+    g1, g2 = N.generator_indices()
+    coset = {N.mul(g2, N.power(g1, e)) for e in range(3)}
+    im = [N.mul(x, g1) if x in coset else x for x in range(N.order)]
+    assert sorted(im) == list(range(N.order))
+    assert all(im[N.mul(x, g1)] == N.mul(im[x], im[g1]) for x in range(N.order))
+    assert im[N.mul(g2, g2)] != N.mul(im[g2], im[g2])
+    with pytest.raises(InvalidActionError, match="not an automorphism"):
+        ActionSpec(cyclic(3), N, {0: Perm(im)})
+
+
 def test_automorphism_from_generator_images():
     G = abelian([3, 3])
     c1, c2 = G.generator_indices()

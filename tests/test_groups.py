@@ -287,15 +287,48 @@ def _dihedral_262():
     return realize(pres, "auto", 262).group
 
 
+def _c2_power_7():
+    """C2^7 as seven disjoint transpositions on 1024 points: |B| = 7 and
+    1024^7 > 2^63, so its keys do not fit in int64."""
+    gens = []
+    for t in range(7):
+        images = list(range(1024))
+        images[2 * t], images[2 * t + 1] = 2 * t + 1, 2 * t
+        gens.append(Perm(images))
+    return close_generators(gens)
+
+
+# the dense table, and the binary search on the sorted base images: for a
+# table over 8x the matrix (8^5 keys, 192 elements of degree 8) and for keys
+# past int64 (1024^7)
+LOOKUP_PATHS = {"psl2:7": "table", "dp:sym:4;dihedral:8": "search",
+                "c2^7-on-1024": "search"}
+
+
+def _lookup_path(G):
+    return "table" if G._table is not None else "search"
+
+
+def _fresh_group(name):
+    from centra.constructors import parse_group_spec
+
+    builders = {"dihedral-262": _dihedral_262, "c2^7-on-1024": _c2_power_7}
+    return builders[name]() if name in builders else parse_group_spec(name)
+
+
 def _reference_groups():
     from centra.constructors import parse_group_spec
     from centra.presentations import parse_presentation, realize
     from centra.verify import _data_text
 
-    groups = {s: parse_group_spec(s) for s in ("dihedral:64", "psl2:7", "sym:5")}
+    groups = {
+        s: parse_group_spec(s)
+        for s in ("dihedral:64", "psl2:7", "sym:5", "dp:sym:4;dihedral:8")
+    }
     pres = parse_presentation(_data_text("ex_order18.pres"))
     groups["ex_order18"] = realize(pres, "auto", 18).group
     groups["dihedral-262"] = _dihedral_262()
+    groups["c2^7-on-1024"] = _c2_power_7()
     S5 = groups["sym:5"]
     a4 = S5.generated_subgroup(perms_from_cycles(["(1,2,3)", "(2,3,4)"], 5))
     groups["induced:alt4"] = a4.induced_group()
@@ -341,8 +374,10 @@ def test_index_arithmetic_matches_perm_arithmetic(name):
     assert G.conjugates([], 0) == []
 
 
-# the brute force takes seconds on the order-262 group
-@pytest.mark.parametrize("name", sorted(set(REFERENCE_GROUPS) - {"dihedral-262"}))
+# the brute force takes seconds on the order-262 group and on degree 1024
+@pytest.mark.parametrize(
+    "name", sorted(set(REFERENCE_GROUPS) - {"dihedral-262", "c2^7-on-1024"})
+)
 def test_conjugacy_classes_match_brute_force(name):
     G = REFERENCE_GROUPS[name]
     el = G.elements
@@ -354,13 +389,13 @@ def test_conjugacy_classes_match_brute_force(name):
 
 # fresh groups, so that each test fills the order and mask caches itself
 @pytest.mark.parametrize(
-    "name", ["dihedral:64", "psl2:7", "sym:5", "abelian:12,36", "dihedral-262"]
+    "name",
+    ["dihedral:64", "psl2:7", "sym:5", "abelian:12,36", "dihedral-262",
+     "dp:sym:4;dihedral:8", "c2^7-on-1024"],
 )
 @pytest.mark.parametrize("first", ["orders", "masks"])
 def test_orders_and_cyclic_masks_match_power_loop(name, first):
-    from centra.constructors import parse_group_spec
-
-    G = _dihedral_262() if name == "dihedral-262" else parse_group_spec(name)
+    G = _fresh_group(name)
     if first == "orders":
         orders, masks = G.element_orders(), G.cyclic_masks()
     else:
@@ -374,3 +409,74 @@ def test_orders_and_cyclic_masks_match_power_loop(name, first):
             mask |= 1 << G.index_of(power)
             power = power * g
         assert masks[i] == mask, i
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_PATHS))
+def test_lookup_path(name):
+    assert _lookup_path(REFERENCE_GROUPS[name]) == LOOKUP_PATHS[name]
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    [("cyclic:12", 1), ("dihedral-262", 1), ("dihedral:64", 2), ("psl2:7", 3),
+     ("sym:6", 5), ("c2^7-on-1024", 7)],
+)
+def test_base_size_and_trivial_stabilizer(name, size):
+    G = _fresh_group(name)
+    assert len(G.base) == size
+    assert G.base.tolist() == sorted(G.base.tolist())
+    fixes_base = np.all(G.matrix[:, G.base] == G.base, axis=1)
+    assert np.flatnonzero(fixes_base).tolist() == [0]
+
+
+def test_membership_compares_the_full_row():
+    from centra.constructors import parse_group_spec
+
+    G = parse_group_spec("dihedral:8")  # the symmetries of a square 0-1-2-3
+    assert G.base.tolist() == [0, 1] and _lookup_path(G) == "table"
+    swap = Perm([0, 1, 3, 2])  # the identity's base images, outside the group
+    assert int(G._find(np.array(swap.images)[G.base])) == 0
+    no_key = Perm([0, 2, 1, 3])  # base images of no element
+    assert int(G._find(np.array(no_key.images)[G.base])) == -1
+    for p in (swap, no_key, Perm([1, 0, 2, 3, 4]), Perm.identity(5)):
+        assert p not in G
+        with pytest.raises(ValueError):
+            G.index_of(p)
+    assert "not a perm" not in G
+    assert G.index_of(Perm.identity(4)) == 0
+
+
+@pytest.mark.parametrize("name", ["dp:sym:4;dihedral:8", "c2^7-on-1024"])
+def test_key_beyond_every_stored_key_is_not_found(name):
+    G = REFERENCE_GROUPS[name]
+    d = G.degree
+    # no element maps 0 to the last point, so this key exceeds every stored one
+    images = list(range(d))
+    images[0], images[d - 1] = d - 1, 0
+    p = Perm(images)
+    assert int(G._find(np.array(images)[G.base])) == G.order
+    assert p not in G
+    with pytest.raises(ValueError):
+        G.index_of(p)
+    assert G.element(G.order - 1) in G
+
+
+@pytest.mark.parametrize("name", ["psl2:7", "sym:5", "dihedral-262"])
+def test_commute_mask_matches_full_rows(name):
+    G = REFERENCE_GROUPS[name]
+    E = G.matrix
+    for i in range(G.order):
+        z = E[i]
+        # rows z * g against rows g * z, over every point
+        flags = np.all(z[E] == E[:, z], axis=1)
+        assert G.commute_mask(i) == G.mask_of(np.flatnonzero(flags).tolist()), i
+
+
+def test_cached_columns_share_int_objects():
+    from centra.constructors import parse_group_spec
+
+    G = parse_group_spec("sym:6")  # indices above 256, which Python does not intern
+    a, b = G.right_mult_column(1), G.right_mult_column(2)
+    assert sorted(a) == sorted(b) == list(range(G.order))
+    where = {y: x for x, y in enumerate(b)}
+    assert all(y is b[where[y]] for y in a)
