@@ -16,7 +16,13 @@ from .constructors import parse_group_spec
 from .errors import CentraError, InvariantError
 from .groups import DEFAULT_ORDER_CAP
 from .lattice import all_subgroups
-from .verify import THEOREM_IDS, bundled_manifest_path, run_manifest, verify
+from .verify import (
+    THEOREM_IDS,
+    ManifestResult,
+    bundled_manifest_path,
+    run_manifest,
+    verify,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,11 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a theorem's default instance sweep")
     p.add_argument("theorem", choices=sorted(THEOREM_IDS))
     p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("run-manifest", help="run every instance in a manifest file")
     p.add_argument("manifest", nargs="?", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--report", type=Path, default=None)
     return parser
@@ -121,27 +125,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(json.dumps(payload))
         return 0
 
-    if args.command == "verify":
-        reports = verify(args.theorem, max_order=args.max_order, jobs=args.jobs)
-        for r in reports:
-            print(json.dumps(r.to_json()))
-        failed = sum(1 for r in reports if r.passed is False)
-        skipped = sum(1 for r in reports if r.skipped)
-        print(
-            f"{len(reports)} instances: {len(reports) - failed - skipped} passed, "
-            f"{failed} failed, {skipped} skipped",
-            file=sys.stderr,
-        )
-        return 1 if failed else 0
-
-    if args.command == "run-manifest":
-        manifest = args.manifest or bundled_manifest_path()
-        result = run_manifest(manifest, jobs=args.jobs, max_order=args.max_order)
-        lines = "\n".join(json.dumps(r.to_json()) for r in result.reports)
-        if args.report is not None:
-            args.report.write_text(lines + "\n")
+    if args.command in ("verify", "run-manifest"):
+        if args.command == "verify":
+            result = ManifestResult(verify(args.theorem, max_order=args.max_order))
+            for r in result.reports:
+                print(json.dumps(r.to_json()))
         else:
-            print(lines)
+            manifest = args.manifest or bundled_manifest_path()
+            result = run_manifest(manifest, max_order=args.max_order)
+            lines = "\n".join(json.dumps(r.to_json()) for r in result.reports)
+            _emit(lines, args.report)
         print(result.summary(), file=sys.stderr)
         return result.exit_code
 

@@ -9,6 +9,7 @@ the CLI and manifest files use to name groups.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -331,26 +332,10 @@ class ActionSpec:
 
     def _extend(self) -> list[Perm]:
         """phi(h) for every acting-group element, verified consistent."""
-        H = self.acting
-        gen_elt = H.generator_indices()
-        phi: list[Perm | None] = [None] * H.order
-        phi[0] = Perm.identity(self.target.order)
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for gpos, gi in enumerate(gen_elt):
-                    h2 = H.mul(gi, h)
-                    img = self.images[gpos] * phi[h]
-                    if phi[h2] is None:
-                        phi[h2] = img
-                        nxt.append(h2)
-                    elif phi[h2] != img:
-                        raise InvalidActionError(
-                            "generator images do not extend to a homomorphism"
-                        )
-            frontier = nxt
-        return phi  # type: ignore[return-value]
+        images = [self.images[k] for k in sorted(self.images)]
+        return _extend_homomorphism(
+            self.acting, images, Perm.identity(self.target.order), operator.mul
+        )
 
     def automorphism(self, h: int) -> Perm:
         return self._phi[h]
@@ -366,6 +351,34 @@ class ActionSpec:
         return ActionSpec(acting, target, images)
 
 
+def _extend_homomorphism(H: FiniteGroup, images: list, identity, mul) -> list:
+    """phi(h) for every element index h of H, where phi(1) = ``identity``
+    and phi(g * h) = mul(images[k], phi(h)) for the k-th generator g.
+
+    Walks the Cayley graph of H from the identity and checks every edge, so
+    raises InvalidActionError unless the images extend to a homomorphism.
+    """
+    edges = list(zip(H.generator_indices(), images))
+    phi = [None] * H.order
+    phi[0] = identity
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for gi, img in edges:
+                h2 = H.mul(gi, h)
+                v = mul(img, phi[h])
+                if phi[h2] is None:
+                    phi[h2] = v
+                    nxt.append(h2)
+                elif phi[h2] != v:
+                    raise InvalidActionError(
+                        "generator images do not extend to a homomorphism"
+                    )
+        frontier = nxt
+    return phi
+
+
 def automorphism_from_generator_images(
     G: FiniteGroup, images: Sequence[int]
 ) -> Perm:
@@ -375,26 +388,9 @@ def automorphism_from_generator_images(
     every edge; raises InvalidActionError if the images do not define an
     endomorphism or the result is not bijective.
     """
-    gen_elt = G.generator_indices()
-    if len(images) != len(gen_elt):
+    if len(images) != len(G.generators):
         raise InvalidActionError("one image per generator is required")
-    out: list[int | None] = [None] * G.order
-    out[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for gi, img in zip(gen_elt, images):
-                h2 = G.mul(gi, h)
-                v = G.mul(int(img), out[h])
-                if out[h2] is None:
-                    out[h2] = v
-                    nxt.append(h2)
-                elif out[h2] != v:
-                    raise InvalidActionError(
-                        "generator images do not define an endomorphism"
-                    )
-        frontier = nxt
+    out = _extend_homomorphism(G, [int(v) for v in images], 0, G.mul)
     if len(set(out)) != G.order:
         raise InvalidActionError("generator images are not an automorphism")
     return Perm(out)  # type: ignore[arg-type]

@@ -21,8 +21,7 @@ of its results with numpy and finds them in one lookup.
 ``Perm`` objects are made only at the boundary, one index at a time with
 ``element(i)``; ``elements`` is a lazily cached tuple of all of them.
 Structural caches (orders, center, conjugacy classes) are filled once on
-demand; the computations are idempotent, so concurrent readers at worst
-repeat work.  Element orders and cyclic masks come from one walk over the
+demand.  Element orders and cyclic masks come from one walk over the
 cyclic subgroups: x^m is the identity iff it fixes B, so the order of x is
 the lcm of the cycle lengths of the base points, and all its powers are
 found from their base images in one lookup.
@@ -240,10 +239,14 @@ class FiniteGroup:
 
     def conjugates(self, xs: Sequence[int], g: int) -> list[int]:
         """Indices of g^-1 * x * g for each index x in ``xs``, in one batch."""
+        return self._conjugates(xs, g, self._inverse_row(g))
+
+    def _conjugates(self, xs: Sequence[int], g: int, g_inv: np.ndarray) -> list[int]:
+        """conjugates(xs, g), given the image row ``g_inv`` of g^-1."""
         E = self.matrix
         # (g^-1 * x * g)[b] = g^-1[x[g[b]]]
         rows = np.asarray(xs, dtype=np.intp).reshape(-1, 1)
-        return self._find(self._inverse_row(g)[E[rows, E[g, self.base]]]).tolist()
+        return self._find(g_inv[E[rows, E[g, self.base]]]).tolist()
 
     def conj(self, i: int, g: int) -> int:
         """Index of elements[i]^elements[g] = g^-1 * x * g."""
@@ -424,12 +427,13 @@ class FiniteGroup:
     def _orbit(self, seeds: Iterable[int], gens: Sequence[int]) -> set[int]:
         """All conjugates of ``seeds`` under <gens>, one batch per frontier
         and generator."""
+        inverses = [(g, self._inverse_row(g)) for g in gens]
         out = set(seeds)
         frontier = sorted(out)
         while frontier:
             nxt = []
-            for g in gens:
-                for y in self.conjugates(frontier, g):
+            for g, g_inv in inverses:
+                for y in self._conjugates(frontier, g, g_inv):
                     if y not in out:
                         out.add(y)
                         nxt.append(y)

@@ -1,19 +1,22 @@
 """Theorem-indexed batch verification over bundled sweeps and manifests.
 
-Each theorem id expands to a default sweep of instances; every instance is
-one membership or structure computation compared against its predicted
-outcome.  Instances above the configured caps are reported as skipped, not
-failed.  Reports sort by instance id, so output is deterministic at any
-parallelism.
+Each theorem id expands to a table of instance records: an id, a predicted
+outcome, the order of the largest group the instance builds (from the
+table's closed formula), and a module-level function with plain arguments
+that builds the group and computes the outcome.  Making the records builds
+no group.  One sequential runner times each instance's build and check
+together; instances above ``max_order`` are left out, and instances that hit
+the closure or subgroup caps are reported as skipped, not failed.  Reports
+sort by instance id.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
+from math import factorial, gcd, prod
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -21,11 +24,8 @@ from . import classify
 from .constructors import (
     ActionSpec,
     abelian,
-    alternating,
     automorphism_from_generator_images,
     cyclic,
-    dihedral,
-    direct_product,
     extraspecial_p3,
     generalized_quaternion,
     is_fermat_prime,
@@ -35,9 +35,7 @@ from .constructors import (
     projective_plane_perm,
     psl2,
     psl3_witness_pair,
-    semidihedral,
     semidirect,
-    symmetric,
 )
 from .errors import CentraError, GroupTooLargeError, InvariantError, SubgroupCapError
 from .fields import factorize, gf, is_prime
@@ -88,54 +86,70 @@ class TheoremReport:
         }
 
 
-# an instance is (id, expected, thunk, note); the thunk returns
-# (computed, witness_json_or_None)
-Instance = tuple[str, str, Callable[[], tuple[str, dict | None]], str]
+@dataclass(frozen=True)
+class Instance:
+    """One check: ``run(*args)`` returns (computed, witness JSON or None).
+
+    ``order`` is that of the largest group ``run`` builds; None (manifest
+    spot entries) means unknown, and such an instance always runs."""
+
+    id: str
+    expected: str
+    order: int | None
+    run: Callable[..., tuple[str, dict | None]]
+    args: tuple = ()
+    note: str = ""
 
 
-def _execute(instances: Iterable[Instance], jobs: int = 1) -> list[TheoremReport]:
-    def run(inst: Instance) -> TheoremReport:
-        iid, expected, thunk, note = inst
+def _run(
+    instances: Iterable[Instance], max_order: int | None = None
+) -> list[TheoremReport]:
+    """Build and check each instance of order at most ``max_order`` in turn,
+    timing both; reports sort by instance id."""
+    reports = []
+    for inst in instances:
+        if max_order is not None and inst.order is not None and inst.order > max_order:
+            continue
         start = time.perf_counter()
         try:
-            computed, witness = thunk()
-            passed = computed == expected
+            computed, witness = inst.run(*inst.args)
+            passed = computed == inst.expected
         except (GroupTooLargeError, SubgroupCapError) as exc:
-            return TheoremReport(
-                instance=iid,
-                expected=expected,
-                computed=f"skipped: {exc}",
-                passed=None,
-                witness=None,
-                elapsed_ms=(time.perf_counter() - start) * 1000,
-                note=note,
-            )
-        return TheoremReport(
-            instance=iid,
-            expected=expected,
+            computed, witness, passed = f"skipped: {exc}", None, None
+        reports.append(TheoremReport(
+            instance=inst.id,
+            expected=inst.expected,
             computed=computed,
             passed=passed,
             witness=witness,
             elapsed_ms=(time.perf_counter() - start) * 1000,
-            note=note,
-        )
-
-    instances = list(instances)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, instances))
-    else:
-        reports = [run(inst) for inst in instances]
+            note=inst.note,
+        ))
     return sorted(reports, key=lambda r: r.instance)
 
 
-def _membership_thunk(builder: Callable[[], FiniteGroup]):
-    def thunk():
-        verdict = classify.in_class_X(builder())
-        witness = verdict.witness.to_json() if verdict.witness else None
-        return ("member" if verdict.member else "non-member"), witness
+def _word(member: bool) -> str:
+    return "member" if member else "non-member"
 
-    return thunk
+
+def _witness(verdict: classify.MembershipVerdict | None) -> dict | None:
+    return verdict.witness.to_json() if verdict and verdict.witness else None
+
+
+def _membership(
+    cls: str, build: Callable[..., FiniteGroup], *args
+) -> tuple[str, dict | None]:
+    """The class-X (or, for ``cls`` "C", class-C) verdict on build(*args)."""
+    G = build(*args)
+    verdict = classify.in_class_C(G) if cls == "C" else classify.in_class_X(G)
+    return _word(verdict.member), _witness(verdict)
+
+
+def _spec_instance(iid: str, expected: str, order: int | None, spec: str,
+                   note: str, base_dir: Path | None = None, cls: str = "X") -> Instance:
+    """A check of the group a spec names, as manifest spot entries run it."""
+    return Instance(iid, expected, order, _membership,
+                    (cls, parse_group_spec, spec, base_dir), note)
 
 
 def _data_text(name: str) -> str:
@@ -149,41 +163,69 @@ def _data_json(name: str):
 # -- corpus -----------------------------------------------------------------------
 
 
+def _psl2_order(q: int) -> int:
+    return q * (q * q - 1) // gcd(2, q - 1)
+
+
+def _corpus_table() -> list[tuple[str, int, Callable[..., FiniteGroup], tuple]]:
+    """(label, order, build, args) spanning every constructor family; labels
+    before "sdp:" are group specs."""
+    rows = [(f"cyclic:{n}", n) for n in (2, 3, 4, 5, 7, 9, 12, 16, 30, 49, 97, 200)]
+    rows += [
+        ("abelian:" + ",".join(map(str, factors)), prod(factors))
+        for factors in (
+            (2, 2), (3, 3), (5, 5), (7, 7), (2, 4), (3, 9), (2, 2, 2),
+            (2, 6), (4, 4), (10, 10), (3, 3, 3),
+        )
+    ]
+    rows += [
+        (f"dihedral:{n}", n)
+        for n in (6, 8, 10, 12, 14, 16, 20, 24, 32, 48, 64, 128)
+    ]
+    rows += [(f"sd:{n}", n) for n in (16, 32, 64)]
+    rows += [(f"q:{n}", n) for n in (8, 16, 32, 64)]
+    rows += [(f"xsp:{p},{expo}", p**3) for p in (3, 5) for expo in ("p", "p2")]
+    rows += [(f"sym:{n}", factorial(n)) for n in (3, 4, 5)]
+    rows += [(f"alt:{n}", factorial(n) // 2) for n in (4, 5)]
+    rows += [(f"psl2:{q}", _psl2_order(q)) for q in (4, 5, 7)]
+    rows += [("dp:dihedral:8;cyclic:2", 16), ("dp:q:8;cyclic:2", 16)]
+    table = [(label, order, parse_group_spec, (label,)) for label, order in rows]
+    table += [
+        ("sdp:c2-inv-c3", 6, _split, (_inverting_c3, 2)),
+        ("sdp:c2-inv-c3xc3", 18, _split, (scalar_action_on_plane, 3, 2)),
+        ("sdp:c3-semi-c4", 12, _split, (_inverting_c3, 4)),
+        ("sdp:q8-on-c3", 24, _split, (_quaternion_action,)),
+        ("sdp:c3-on-c7xc7", 147, _split, (scalar_action_on_plane, 7, 3)),
+        ("presentation:ex24#B", 24, _realized, ("ex_order24.pres", "B")),
+        ("presentation:ex75#B", 75, _realized, ("ex_order75.pres", "B")),
+    ]
+    table += [
+        (f"frobenius:{q}:{d}", q * d, frobenius_metacyclic, (q, d))
+        for q, d in ((7, 3), (13, 3), (11, 5), (5, 4))
+    ]
+    return table
+
+
 def default_corpus(max_order: int = 200) -> list[tuple[str, FiniteGroup]]:
     """Labelled groups of order <= max_order spanning every constructor family."""
-    out: list[tuple[str, FiniteGroup]] = []
+    return [
+        (label, build(*args))
+        for label, order, build, args in _corpus_table()
+        if order <= max_order
+    ]
 
-    def add(label: str, G: FiniteGroup):
-        if G.order <= max_order:
-            out.append((label, G))
 
-    for n in (2, 3, 4, 5, 7, 9, 12, 16, 30, 49, 97, 200):
-        add(f"cyclic:{n}", cyclic(n))
-    for factors in (
-        (2, 2), (3, 3), (5, 5), (7, 7), (2, 4), (3, 9), (2, 2, 2),
-        (2, 6), (4, 4), (10, 10), (3, 3, 3),
-    ):
-        add("abelian:" + ",".join(map(str, factors)), abelian(factors))
-    for two_n in (6, 8, 10, 12, 14, 16, 20, 24, 32, 48, 64, 128):
-        add(f"dihedral:{two_n}", dihedral(two_n))
-    for order in (16, 32, 64):
-        add(f"sd:{order}", semidihedral(order))
-    for order in (8, 16, 32, 64):
-        add(f"q:{order}", generalized_quaternion(order))
-    for p in (3, 5):
-        for expo in ("p", "p2"):
-            add(f"xsp:{p},{expo}", extraspecial_p3(p, expo))
-    for n in (3, 4, 5):
-        add(f"sym:{n}", symmetric(n))
-    for n in (4, 5):
-        add(f"alt:{n}", alternating(n))
-    for q in (4, 5, 7):
-        add(f"psl2:{q}", psl2(q))
-    add("dp:dihedral:8;cyclic:2", direct_product(dihedral(8), cyclic(2)))
-    add("dp:q:8;cyclic:2", direct_product(generalized_quaternion(8), cyclic(2)))
-    for label, G in _corpus_split_extensions():
-        add(label, G)
-    return out
+def _split(action: Callable[..., ActionSpec], *args) -> FiniteGroup:
+    return semidirect(action(*args))
+
+
+def _realized(fname: str, convention: str) -> FiniteGroup:
+    return realize(parse_presentation(_data_text(fname)), convention).group
+
+
+def _inverting_c3(n: int) -> ActionSpec:
+    """C_n acting on C3 with its generator inverting."""
+    return ActionSpec(cyclic(n), cyclic(3), {0: Perm([0, 2, 1])})
 
 
 def frobenius_metacyclic(q: int, d: int) -> FiniteGroup:
@@ -234,7 +276,7 @@ def one_factor_action(p: int, d: int) -> ActionSpec:
     return ActionSpec(cyclic(d), target, {0: auto})
 
 
-def quaternion_on_c3() -> tuple[FiniteGroup, ActionSpec]:
+def _quaternion_action() -> ActionSpec:
     """Q8 acting on C3 through its quotient by a cyclic order-4 kernel."""
     D = generalized_quaternion(8)
     orders = D.element_orders()
@@ -248,45 +290,23 @@ def quaternion_on_c3() -> tuple[FiniteGroup, ActionSpec]:
     spec = ActionSpec(D, cyclic(3), images)
     if all(img.images == (0, 1, 2) for img in spec.images.values()):
         raise InvariantError("Q8 acts trivially on C3")
+    return spec
+
+
+def quaternion_on_c3() -> tuple[FiniteGroup, ActionSpec]:
+    """Q8 : C3 with its action (see _quaternion_action)."""
+    spec = _quaternion_action()
     return semidirect(spec), spec
-
-
-def c3_semidirect_c4() -> FiniteGroup:
-    """C3 : C4 with the order-4 generator inverting; center of order 2."""
-    spec = ActionSpec(cyclic(4), cyclic(3), {0: Perm([0, 2, 1])})
-    return semidirect(spec)
-
-
-def _corpus_split_extensions() -> list[tuple[str, FiniteGroup]]:
-    out = []
-    out.append(("sdp:c2-inv-c3", semidirect(
-        ActionSpec(cyclic(2), cyclic(3), {0: Perm([0, 2, 1])}))))
-    out.append(("sdp:c2-inv-c3xc3", semidirect(scalar_action_on_plane(3, 2))))
-    out.append(("sdp:c3-semi-c4", c3_semidirect_c4()))
-    out.append(("sdp:q8-on-c3", quaternion_on_c3()[0]))
-    out.append(("sdp:c3-on-c7xc7", semidirect(scalar_action_on_plane(7, 3))))
-    out.append(("presentation:ex24#B", realize(
-        parse_presentation(_data_text("ex_order24.pres")), "B").group))
-    out.append(("presentation:ex75#B", realize(
-        parse_presentation(_data_text("ex_order75.pres")), "B").group))
-    out.append(("frobenius:7:3", frobenius_metacyclic(7, 3)))
-    out.append(("frobenius:13:3", frobenius_metacyclic(13, 3)))
-    out.append(("frobenius:11:5", frobenius_metacyclic(11, 5)))
-    out.append(("frobenius:5:4", frobenius_metacyclic(5, 4)))
-    return out
 
 
 # -- per-theorem sweeps -------------------------------------------------------------
 
 
-def class_c_prediction(G: FiniteGroup) -> str:
-    """The finite characterization: prime-order cyclic, or non-abelian pq
-    with q < p and p = 1 mod q."""
-    n = G.order
-    if is_prime(n):
+def _class_c_expected(order: int, is_abelian: bool) -> str:
+    if is_prime(order):
         return "member"
-    if not G.is_abelian:
-        factors = factorize(n)
+    if not is_abelian:
+        factors = factorize(order)
         if len(factors) == 2:
             (p1, e1), (p2, e2) = factors
             if e1 == 1 and e2 == 1:
@@ -296,53 +316,51 @@ def class_c_prediction(G: FiniteGroup) -> str:
     return "non-member"
 
 
-def _sweep_class_c(max_order: int | None) -> list[Instance]:
-    limit = min(max_order or 200, 200)
-    instances: list[Instance] = []
-    for label, G in default_corpus(limit):
-        expected = class_c_prediction(G)
+def class_c_prediction(G: FiniteGroup) -> str:
+    """The finite characterization: prime-order cyclic, or non-abelian pq
+    with q < p and p = 1 mod q."""
+    return _class_c_expected(G.order, G.is_abelian)
 
-        def thunk(G=G):
-            verdict = classify.in_class_C(G)
-            witness = verdict.witness.to_json() if verdict.witness else None
-            return ("member" if verdict.member else "non-member"), witness
 
-        instances.append(
-            (f"class-C-finite/{label}", expected, thunk,
-             "finite characterization of the all-subgroups-self-centralizing class")
+def _sweep_class_c() -> list[Instance]:
+    note = "finite characterization of the all-subgroups-self-centralizing class"
+    return [
+        Instance(
+            f"class-C-finite/{label}",
+            # only the cyclic and abelian families are abelian
+            _class_c_expected(order, label.startswith(("cyclic:", "abelian:"))),
+            order, _membership, ("C", build, *args), note,
         )
-    return instances
+        for label, order, build, args in _corpus_table()
+    ]
 
 
-def _sweep_lemma_family(max_order: int | None) -> list[Instance]:
-    families = [("alt:5", alternating(5)), ("dihedral:32", dihedral(32))]
-    instances: list[Instance] = []
-    for label, G in families:
-        if max_order is not None and G.order > max_order:
-            continue
-
-        def thunk(G=G):
-            subs = all_subgroups(G)
-            disagreements = []
-            for S in subs:
-                zmask = G.centralizer_mask(S.generating_set()) & S.mask
-                containment = all(
-                    (zmask & ~T.mask) == 0
-                    for T in subs
-                    if (T.mask & S.mask) == T.mask and not T.is_cyclic()
-                )
-                member = classify.in_class_X(S.induced_group()).member
-                if containment != member:
-                    disagreements.append(S.order)
-            if disagreements:
-                return f"disagreement at orders {disagreements}", None
-            return "member-wise agreement", None
-
-        instances.append(
-            (f"lemma-family/{label}", "member-wise agreement", thunk,
-             "center containment across a subgroup-closed family matches membership")
+def _lemma_family(spec: str) -> tuple[str, None]:
+    G = parse_group_spec(spec)
+    subs = all_subgroups(G)
+    disagreements = []
+    for S in subs:
+        zmask = G.centralizer_mask(S.generating_set()) & S.mask
+        containment = all(
+            (zmask & ~T.mask) == 0
+            for T in subs
+            if (T.mask & S.mask) == T.mask and not T.is_cyclic()
         )
-    return instances
+        member = classify.in_class_X(S.induced_group()).member
+        if containment != member:
+            disagreements.append(S.order)
+    if disagreements:
+        return f"disagreement at orders {disagreements}", None
+    return "member-wise agreement", None
+
+
+def _sweep_lemma_family() -> list[Instance]:
+    note = "center containment across a subgroup-closed family matches membership"
+    return [
+        Instance(f"lemma-family/{spec}", "member-wise agreement", order,
+                 _lemma_family, (spec,), note)
+        for spec, order in (("alt:5", 60), ("dihedral:32", 32))
+    ]
 
 
 def _abelian_types(n: int, min_mult: int = 2):
@@ -355,129 +373,89 @@ def _abelian_types(n: int, min_mult: int = 2):
                 yield [d] + rest
 
 
-def _sweep_t_abelian(max_order: int | None) -> list[Instance]:
-    limit = min(max_order or 100, 100)
-    instances: list[Instance] = []
-    for n in range(2, limit + 1):
-        for chain in _abelian_types(n):
-            label = "x".join(map(str, chain))
-            expected = (
-                "member"
-                if len(chain) == 1
-                or (len(chain) == 2 and chain[0] == chain[1] and is_prime(chain[0]))
-                else "non-member"
-            )
-            instances.append(
-                (
-                    f"t-abelian/n={n:03d}-{label}",
-                    expected,
-                    _membership_thunk(lambda chain=tuple(chain): abelian(chain)),
-                    "abelian members are cyclic groups and prime-squared elementary",
-                )
-            )
-    return instances
-
-
-def _sweep_t_finitep(max_order: int | None) -> list[Instance]:
-    entries: list[tuple[str, str, Callable[[], FiniteGroup]]] = []
-    for two_exp in (8, 16, 32, 64):
-        entries.append((f"dihedral:{two_exp}", "member",
-                        lambda n=two_exp: dihedral(n)))
-    for order in (16, 32, 64):
-        entries.append((f"sd:{order}", "member",
-                        lambda n=order: semidihedral(n)))
-    for order in (8, 16, 32, 64):
-        entries.append((f"q:{order}", "member",
-                        lambda n=order: generalized_quaternion(n)))
-    for p in (3, 5, 7):
-        for expo in ("p", "p2"):
-            entries.append((f"xsp:{p},{expo}", "member",
-                            lambda p=p, e=expo: extraspecial_p3(p, e)))
-    entries.append(("dp:dihedral:8;cyclic:2", "non-member",
-                    lambda: direct_product(dihedral(8), cyclic(2))))
-    entries.append(("dp:q:8;cyclic:2", "non-member",
-                    lambda: direct_product(generalized_quaternion(8), cyclic(2))))
-    entries.append(("abelian:3,9", "non-member", lambda: abelian((3, 9))))
-    entries.append(("abelian:2,2,2", "non-member", lambda: abelian((2, 2, 2))))
-
-    note = "non-abelian p-group members: odd p^3, or maximal-class 2-groups"
+def _sweep_t_abelian() -> list[Instance]:
+    note = "abelian members are cyclic groups and prime-squared elementary"
     return [
-        (f"t-finitep/{label}", expected, _membership_thunk(builder), note)
-        for label, expected, builder in entries
-        if max_order is None or _order_of_label(label) <= max_order
+        _spec_instance(
+            f"t-abelian/n={n:03d}-" + "x".join(map(str, chain)),
+            _word(len(chain) == 1
+                  or (len(chain) == 2 and chain[0] == chain[1] and is_prime(chain[0]))),
+            n, "abelian:" + ",".join(map(str, chain)), note,
+        )
+        for n in range(2, 101)
+        for chain in _abelian_types(n)
     ]
 
 
-def _order_of_label(label: str) -> int:
-    head, _, arg = label.partition(":")
-    if head == "dihedral" or head == "sd" or head == "q":
-        return int(arg)
-    if head == "xsp":
-        return int(arg.split(",")[0]) ** 3
-    if head == "abelian":
-        out = 1
-        for v in arg.split(","):
-            out *= int(v)
-        return out
-    if head == "dp":
-        left, _, right = arg.partition(";")
-        return _order_of_label(left) * _order_of_label(right)
-    if head == "cyclic":
-        return int(arg)
-    return 0
+def _sweep_t_finitep() -> list[Instance]:
+    rows = [(f"dihedral:{n}", n, True) for n in (8, 16, 32, 64)]
+    rows += [(f"sd:{n}", n, True) for n in (16, 32, 64)]
+    rows += [(f"q:{n}", n, True) for n in (8, 16, 32, 64)]
+    rows += [(f"xsp:{p},{expo}", p**3, True) for p in (3, 5, 7) for expo in ("p", "p2")]
+    rows += [
+        ("dp:dihedral:8;cyclic:2", 16, False),
+        ("dp:q:8;cyclic:2", 16, False),
+        ("abelian:3,9", 27, False),
+        ("abelian:2,2,2", 8, False),
+    ]
+    note = "non-abelian p-group members: odd p^3, or maximal-class 2-groups"
+    return [
+        _spec_instance(f"t-finitep/{spec}", _word(member), order, spec, note)
+        for spec, order, member in rows
+    ]
 
 
-def _sweep_p_dihedral(max_order: int | None) -> list[Instance]:
-    instances: list[Instance] = []
-    for n in range(2, 65):
-        if max_order is not None and 2 * n > max_order:
-            continue
-        expected = "member" if (n % 2 == 1 or (n & (n - 1)) == 0) else "non-member"
-        instances.append(
-            (
-                f"p-dihedral/n={n:02d}",
-                expected,
-                _membership_thunk(lambda n=n: dihedral(2 * n)),
-                "dihedral of twice n: member iff n odd or a power of two",
-            )
-        )
-    return instances
+def _sweep_p_dihedral() -> list[Instance]:
+    note = "dihedral of twice n: member iff n odd or a power of two"
+    return [
+        _spec_instance(f"p-dihedral/n={n:02d}", _word(n % 2 == 1 or (n & (n - 1)) == 0),
+                       2 * n, f"dihedral:{2 * n}", note)
+        for n in range(2, 65)
+    ]
 
 
+# (spec, q, order): A5 = PSL2(4) and A6 = PSL2(9)
 _SIMPLE_SUITE = (
-    ("alt:5", 4, 60, lambda: alternating(5)),
-    ("alt:6", 9, 360, lambda: alternating(6)),
-    ("psl2:5", 5, 60, lambda: psl2(5)),
-    ("psl2:7", 7, 168, lambda: psl2(7)),
-    ("psl2:8", 8, 504, lambda: psl2(8)),
-    ("psl2:11", 11, 660, lambda: psl2(11)),
-    ("psl2:13", 13, 1092, lambda: psl2(13)),
-    ("psl2:17", 17, 2448, lambda: psl2(17)),
+    ("alt:5", 4, 60),
+    ("alt:6", 9, 360),
+    ("psl2:5", 5, 60),
+    ("psl2:7", 7, 168),
+    ("psl2:8", 8, 504),
+    ("psl2:11", 11, 660),
+    ("psl2:13", 13, 1092),
+    ("psl2:17", 17, 2448),
 )
 
 
 def psl2_membership_prediction(q: int) -> str:
-    return (
-        "member"
-        if q in (4, 9) or is_fermat_prime(q) or is_mersenne_prime(q)
-        else "non-member"
-    )
+    return _word(q in (4, 9) or is_fermat_prime(q) or is_mersenne_prime(q))
 
 
-def _sweep_t_finitesimple(max_order: int | None) -> list[Instance]:
-    instances: list[Instance] = []
-    for label, q, order, builder in _SIMPLE_SUITE:
-        if max_order is not None and order > max_order:
-            continue
-        instances.append(
-            (
-                f"t-finitesimple/{label}",
-                psl2_membership_prediction(q),
-                _membership_thunk(builder),
-                f"q={q}: member iff q in {{4,9}} or q a Fermat or Mersenne prime",
-            )
+def _sweep_t_finitesimple() -> list[Instance]:
+    return [
+        _spec_instance(
+            f"t-finitesimple/{spec}", psl2_membership_prediction(q), order, spec,
+            f"q={q}: member iff q in {{4,9}} or q a Fermat or Mersenne prime",
         )
-    return instances
+        for spec, q, order in _SIMPLE_SUITE
+    ]
+
+
+def _ncsupersoluble_table() -> list[tuple[str, Callable, int, int, int, bool]]:
+    """(label, action, p, d, order, fixed_point_free); action(p, d) is the
+    ActionSpec, and its semidirect product has that order."""
+    rows = []
+    for p in (3, 5, 7):
+        divisors = [d for d in range(2, p) if (p - 1) % d == 0]
+        for d in divisors:
+            rows.append((f"p={p}-plane-d={d}", scalar_action_on_plane,
+                         p, d, p * p * d, True))
+            if d % 2 == 1:
+                rows.append((f"p={p}-xsp-d={d}", diagonal_action_on_heisenberg,
+                             p, d, p**3 * d, True))
+        d = divisors[-1]
+        rows.append((f"p={p}-nonfpf", one_factor_action, p, d, p * p * d, False))
+    return rows
 
 
 def ncsupersoluble_sweep_actions() -> list[tuple[str, ActionSpec, bool]]:
@@ -490,137 +468,83 @@ def ncsupersoluble_sweep_actions() -> list[tuple[str, ActionSpec, bool]]:
     at all (every automorphism fixes the order-p elements' line in the
     Frattini quotient), so those combinations have no instances.
     """
-    out: list[tuple[str, ActionSpec, bool]] = []
-    for p in (3, 5, 7):
-        divisors = [d for d in range(2, p) if (p - 1) % d == 0]
-        for d in divisors:
-            out.append(
-                (f"p={p}-plane-d={d}", scalar_action_on_plane(p, d), True)
-            )
-            if d % 2 == 1:
-                out.append(
-                    (
-                        f"p={p}-xsp-d={d}",
-                        diagonal_action_on_heisenberg(p, d),
-                        True,
-                    )
-                )
-        out.append((f"p={p}-nonfpf", one_factor_action(p, divisors[-1]), False))
+    return [
+        (label, action(p, d), fpf)
+        for label, action, p, d, _order, fpf in _ncsupersoluble_table()
+    ]
+
+
+def _split_extension(action: Callable[[int, int], ActionSpec], p: int, d: int):
+    spec = action(p, d)
+    fpf = classify.acts_fixed_point_freely(spec)
+    verdict = classify.in_class_X(semidirect(spec))
+    return ("fpf," if fpf else "non-fpf,") + _word(verdict.member), _witness(verdict)
+
+
+def _least(orders: tuple[int, ...]) -> tuple[str, None]:
+    return str(min(orders)), None
+
+
+def _sweep_t_ncsupersoluble() -> list[Instance]:
+    rows = _ncsupersoluble_table()
+    note = "cyclic complement of order dividing p-1 acting without fixed points"
+    out = [
+        Instance(f"t-ncsupersoluble/{label}",
+                 ("fpf," if fpf else "non-fpf,") + _word(fpf),
+                 order, _split_extension, (action, p, d), note)
+        for label, action, p, d, order, fpf in rows
+    ]
+    # the least orders depend on the whole sweep: they carry its largest
+    # order, so --max-order leaves them out unless every member runs
+    members = tuple(order for *_, order, fpf in rows if fpf)
+    odd = tuple(o for o in members if o % 2)
+    out.append(Instance("t-ncsupersoluble/zz-least-member-order", "18",
+                        max(members), _least, (members,),
+                        "smallest split extension in the sweep"))
+    out.append(Instance("t-ncsupersoluble/zz-least-odd-member-order", "147",
+                        max(members), _least, (odd,),
+                        "smallest odd-order split extension in the sweep"))
     return out
 
 
-def _sweep_t_ncsupersoluble(max_order: int | None) -> list[Instance]:
-    instances: list[Instance] = []
-    member_orders: list[int] = []
-    for label, spec, expect_fpf in ncsupersoluble_sweep_actions():
-        order = spec.acting.order * spec.target.order
-        if max_order is not None and order > max_order:
-            continue
-        expected = ("fpf," if expect_fpf else "non-fpf,") + (
-            "member" if expect_fpf else "non-member"
-        )
-        if expect_fpf:
-            member_orders.append(order)
-
-        def thunk(spec=spec):
-            fpf = classify.acts_fixed_point_freely(spec)
-            verdict = classify.in_class_X(semidirect(spec))
-            witness = verdict.witness.to_json() if verdict.witness else None
-            return (
-                ("fpf," if fpf else "non-fpf,")
-                + ("member" if verdict.member else "non-member"),
-                witness,
-            )
-
-        instances.append(
-            (
-                f"t-ncsupersoluble/{label}",
-                expected,
-                thunk,
-                "cyclic complement of order dividing p-1 acting without fixed points",
-            )
-        )
-    if member_orders and max_order is None:
-        least = min(member_orders)
-        odd = [o for o in member_orders if o % 2]
-        instances.append(
-            (
-                "t-ncsupersoluble/zz-least-member-order",
-                "18",
-                lambda least=least: (str(least), None),
-                "smallest split extension in the sweep",
-            )
-        )
-        if odd:
-            instances.append(
-                (
-                    "t-ncsupersoluble/zz-least-odd-member-order",
-                    "147",
-                    lambda v=min(odd): (str(v), None),
-                    "smallest odd-order split extension in the sweep",
-                )
-            )
-    return instances
+def _c2_on_c3() -> tuple[str, None]:
+    spec = _inverting_c3(2)
+    G = semidirect(spec)
+    fpf = classify.acts_fixed_point_freely(spec)
+    member = classify.in_class_X(G).member
+    shape = "S3" if (G.order == 6 and not G.is_abelian) else "other"
+    return f"{shape},fpf={fpf},{_word(member)}", None
 
 
-def _sweep_t_csupersoluble(max_order: int | None) -> list[Instance]:
-    instances: list[Instance] = []
+def _q8_on_c3() -> tuple[str, None]:
+    G, _spec = quaternion_on_c3()
+    member = classify.in_class_X(G).member
+    P2 = sylow_subgroup(G, 2)
+    zg = G.center()
+    zp = G.centralizer_mask(P2.generating_set()) & P2.mask
+    fam = classify.two_group_family(P2.induced_group())
+    same = zg.mask == zp
+    return f"{_word(member)},sylow2={fam},Z(G)=Z(D)={same}", None
 
-    def thunk_i():
-        spec = ActionSpec(cyclic(2), cyclic(3), {0: Perm([0, 2, 1])})
-        G = semidirect(spec)
-        fpf = classify.acts_fixed_point_freely(spec)
-        member = classify.in_class_X(G).member
-        shape = "S3" if (G.order == 6 and not G.is_abelian) else "other"
-        return f"{shape},fpf={fpf},{'member' if member else 'non-member'}", None
 
-    instances.append(
-        (
-            "t-csupersoluble/i-c2-on-c3",
-            "S3,fpf=True,member",
-            thunk_i,
-            "cyclic on cyclic acting fixed point freely",
-        )
-    )
+def _c3_semi_c4() -> tuple[str, None]:
+    G = _split(_inverting_c3, 4)
+    member = classify.in_class_X(G).member
+    z = G.center().order
+    return f"{_word(member)},1<Z<D={1 < z < 4}", None
 
-    def thunk_ii():
-        G, _spec = quaternion_on_c3()
-        member = classify.in_class_X(G).member
-        P2 = sylow_subgroup(G, 2)
-        zg = G.center()
-        zp = G.centralizer_mask(P2.generating_set()) & P2.mask
-        fam = classify.two_group_family(P2.induced_group())
-        same = zg.mask == zp
-        return (
-            f"{'member' if member else 'non-member'},sylow2={fam},Z(G)=Z(D)={same}",
-            None,
-        )
 
-    instances.append(
-        (
-            "t-csupersoluble/ii-q8-on-c3",
-            "member,sylow2=quaternion,Z(G)=Z(D)=True",
-            thunk_ii,
-            "generalized quaternion complement with coinciding centers",
-        )
-    )
-
-    def thunk_iii():
-        G = c3_semidirect_c4()
-        member = classify.in_class_X(G).member
-        z = G.center().order
-        ok = 1 < z < 4
-        return f"{'member' if member else 'non-member'},1<Z<D={ok}", None
-
-    instances.append(
-        (
-            "t-csupersoluble/iii-c3-semi-c4",
-            "member,1<Z<D=True",
-            thunk_iii,
-            "cyclic Sylow for the smallest prime with proper central part",
-        )
-    )
-    return instances
+def _sweep_t_csupersoluble() -> list[Instance]:
+    return [
+        Instance("t-csupersoluble/i-c2-on-c3", "S3,fpf=True,member", 6, _c2_on_c3, (),
+                 "cyclic on cyclic acting fixed point freely"),
+        Instance("t-csupersoluble/ii-q8-on-c3",
+                 "member,sylow2=quaternion,Z(G)=Z(D)=True", 24, _q8_on_c3, (),
+                 "generalized quaternion complement with coinciding centers"),
+        Instance("t-csupersoluble/iii-c3-semi-c4", "member,1<Z<D=True", 12,
+                 _c3_semi_c4, (),
+                 "cyclic Sylow for the smallest prime with proper central part"),
+    ]
 
 
 _EXAMPLE_PRESENTATIONS = (
@@ -632,170 +556,106 @@ _EXAMPLE_PRESENTATIONS = (
 )
 
 
-def _sweep_examples(max_order: int | None) -> list[Instance]:
-    instances: list[Instance] = []
-    for label, fname, order, convention, membership in _EXAMPLE_PRESENTATIONS:
-        expected = f"order={order},convention={convention},{membership}"
-
-        def thunk(fname=fname, order=order):
-            pres = parse_presentation(_data_text(fname))
-            r = realize(pres, convention="auto", order_hint=order)
-            verdict = classify.in_class_X(r.group)
-            witness = verdict.witness.to_json() if verdict.witness else None
-            return (
-                f"order={r.order},convention={r.convention},"
-                + ("member" if verdict.member else "non-member"),
-                witness,
-            )
-
-        instances.append(
-            (
-                f"examples/{label}",
-                expected,
-                thunk,
-                "printed presentation realized by coset enumeration",
-            )
-        )
-
-    def thunk_75_extra():
-        pres = parse_presentation(_data_text("ex_order75.pres"))
-        r = realize(pres, convention="auto", order_hint=75)
-        odd = r.order % 2 == 1
-        ss = classify.is_supersolvable(r.group)
-        return f"odd={odd},supersolvable={ss}", None
-
-    instances.append(
-        (
-            "examples/ex75-structure",
-            "odd=True,supersolvable=False",
-            thunk_75_extra,
-            "odd order does not imply supersolvability inside the class",
-        )
-    )
-
-    def thunk_24_comparison():
-        pres = parse_presentation(_data_text("ex_order24.pres"))
-        r = realize(pres, convention="auto", order_hint=24)
-        printed_member = classify.in_class_X(r.group).member
-        printed_fam = classify.two_group_family(
-            sylow_subgroup(r.group, 2).induced_group()
-        )
-        G, _spec = quaternion_on_c3()
-        explicit_member = classify.in_class_X(G).member
-        explicit_fam = classify.two_group_family(
-            sylow_subgroup(G, 2).induced_group()
-        )
-        return (
-            f"printed:sylow2={printed_fam},"
-            f"{'member' if printed_member else 'non-member'};"
-            f"explicit:sylow2={explicit_fam},"
-            f"{'member' if explicit_member else 'non-member'}",
-            None,
-        )
-
-    instances.append(
-        (
-            "examples/ex24-comparison",
-            "printed:sylow2=dihedral,non-member;explicit:sylow2=quaternion,member",
-            thunk_24_comparison,
-            "printed order-24 presentation versus the explicit quaternion extension",
-        )
-    )
-    return instances
+def _realize_example(fname: str, order: int):
+    pres = parse_presentation(_data_text(fname))
+    return realize(pres, convention="auto", order_hint=order)
 
 
-def _sweep_exclusion_witnesses(max_order: int | None) -> list[Instance]:
-    data = _data_json("witnesses.json")
-    instances: list[Instance] = []
+def _example(fname: str, order: int) -> tuple[str, dict | None]:
+    r = _realize_example(fname, order)
+    verdict = classify.in_class_X(r.group)
+    return (f"order={r.order},convention={r.convention},{_word(verdict.member)}",
+            _witness(verdict))
 
-    def thunk_a7():
-        entry = data["a7"]
+
+def _ex75_structure() -> tuple[str, None]:
+    r = _realize_example("ex_order75.pres", 75)
+    ss = classify.is_supersolvable(r.group)
+    return f"odd={r.order % 2 == 1},supersolvable={ss}", None
+
+
+def _ex24_comparison() -> tuple[str, None]:
+    words = []
+    for name, G in (("printed", _realize_example("ex_order24.pres", 24).group),
+                    ("explicit", quaternion_on_c3()[0])):
+        fam = classify.two_group_family(sylow_subgroup(G, 2).induced_group())
+        words.append(f"{name}:sylow2={fam},{_word(classify.in_class_X(G).member)}")
+    return ";".join(words), None
+
+
+def _sweep_examples() -> list[Instance]:
+    out = [
+        Instance(f"examples/{label}",
+                 f"order={order},convention={convention},{membership}",
+                 order, _example, (fname, order),
+                 "printed presentation realized by coset enumeration")
+        for label, fname, order, convention, membership in _EXAMPLE_PRESENTATIONS
+    ]
+    out.append(Instance("examples/ex75-structure", "odd=True,supersolvable=False", 75,
+                        _ex75_structure, (),
+                        "odd order does not imply supersolvability inside the class"))
+    out.append(Instance(
+        "examples/ex24-comparison",
+        "printed:sylow2=dihedral,non-member;explicit:sylow2=quaternion,member",
+        24, _ex24_comparison, (),
+        "printed order-24 presentation versus the explicit quaternion extension",
+    ))
+    return out
+
+
+def _exclusion(key: str) -> tuple[str, dict | None]:
+    """Close the bundled generating pair ``key`` and certify its ambient group
+    out of class X; a7 reports the abelian invariants, the rest dihedrality."""
+    entry = _data_json("witnesses.json")[key]
+    if "cycles" in entry:
         gens = [parse_cycles(c, entry["degree"]) for c in entry["cycles"]]
-        K = close_generators(gens)
-        inv = classify.abelian_invariants(K) if K.is_abelian else None
-        cert = classify.certify_non_membership(entry["ambient"], gens)
-        witness = cert.verdict.witness.to_json() if cert.verdict else None
-        return (
-            f"order={K.order},invariants={list(inv) if inv else None},"
-            f"certified={cert.conclusive}",
-            witness,
-        )
-
-    instances.append(
-        (
-            "exclusion-witnesses/a7",
-            "order=12,invariants=[2, 6],certified=True",
-            thunk_a7,
-            "two even permutations of degree 7 spanning a rank-2 abelian group",
-        )
-    )
-
-    def thunk_m11():
-        entry = data["m11"]
-        gens = [parse_cycles(c, entry["degree"]) for c in entry["cycles"]]
-        K = close_generators(gens)
-        dih = classify.is_dihedral_group(K)
-        cert = classify.certify_non_membership(entry["ambient"], gens)
-        witness = cert.verdict.witness.to_json() if cert.verdict else None
-        return f"order={K.order},dihedral={dih},certified={cert.conclusive}", witness
-
-    instances.append(
-        (
-            "exclusion-witnesses/m11",
-            "order=12,dihedral=True,certified=True",
-            thunk_m11,
-            "two degree-11 permutations spanning a dihedral group of order 12",
-        )
-    )
-
-    def thunk_psl3():
-        entry = data["psl3_7"]
-        p = entry["p"]
-        gens = [projective_plane_perm(p, M) for M in entry["matrices"]]
-        check = psl3_witness_pair(p)
-        if tuple(gens) != check:
+    else:
+        gens = [projective_plane_perm(entry["p"], M) for M in entry["matrices"]]
+        if tuple(gens) != psl3_witness_pair(entry["p"]):
             return "fixture/matrix mismatch", None
-        K = close_generators(gens)
-        dih = classify.is_dihedral_group(K)
-        cert = classify.certify_non_membership(entry["ambient"], gens)
-        witness = cert.verdict.witness.to_json() if cert.verdict else None
-        return f"order={K.order},dihedral={dih},certified={cert.conclusive}", witness
-
-    instances.append(
-        (
-            "exclusion-witnesses/psl3-7",
-            "order=12,dihedral=True,certified=True",
-            thunk_psl3,
-            "projectivized matrix pair on the 57-point plane",
-        )
-    )
-    return instances
+    K = close_generators(gens)
+    if key == "a7":
+        inv = classify.abelian_invariants(K) if K.is_abelian else None
+        shape = f"invariants={list(inv) if inv else None}"
+    else:
+        shape = f"dihedral={classify.is_dihedral_group(K)}"
+    cert = classify.certify_non_membership(entry["ambient"], gens)
+    computed = f"order={K.order},{shape},certified={cert.conclusive}"
+    return computed, _witness(cert.verdict)
 
 
-def _sweep_psl2_normalizer(max_order: int | None) -> list[Instance]:
-    instances: list[Instance] = []
-    for p in (5, 7):
+def _sweep_exclusion_witnesses() -> list[Instance]:
+    # each pair generates a group of order 12
+    return [
+        Instance("exclusion-witnesses/a7", "order=12,invariants=[2, 6],certified=True",
+                 12, _exclusion, ("a7",),
+                 "two even permutations of degree 7 spanning a rank-2 abelian group"),
+        Instance("exclusion-witnesses/m11", "order=12,dihedral=True,certified=True",
+                 12, _exclusion, ("m11",),
+                 "two degree-11 permutations spanning a dihedral group of order 12"),
+        Instance("exclusion-witnesses/psl3-7", "order=12,dihedral=True,certified=True",
+                 12, _exclusion, ("psl3_7",),
+                 "projectivized matrix pair on the 57-point plane"),
+    ]
 
-        def thunk(p=p):
-            G = psl2(p)
-            P = sylow_subgroup(G, p)
-            N = normalizer(G, P)
-            c_in_n = G.centralizer_mask(P.generating_set()) & N.mask
-            return (
-                f"|P|={P.order},|N|={N.order},C_N(P)==P={c_in_n == P.mask}",
-                None,
-            )
 
-        expected = {5: "|P|=5,|N|=10,C_N(P)==P=True", 7: "|P|=7,|N|=21,C_N(P)==P=True"}
-        instances.append(
-            (
-                f"psl2-normalizer/p={p}",
-                expected[p],
-                thunk,
-                "Sylow normalizer centralizes the Sylow subgroup only inside itself",
-            )
-        )
-    return instances
+def _sylow_normalizer(p: int) -> tuple[str, None]:
+    G = psl2(p)
+    P = sylow_subgroup(G, p)
+    N = normalizer(G, P)
+    c_in_n = G.centralizer_mask(P.generating_set()) & N.mask
+    return f"|P|={P.order},|N|={N.order},C_N(P)==P={c_in_n == P.mask}", None
+
+
+def _sweep_psl2_normalizer() -> list[Instance]:
+    return [
+        # the normalizer of a Sylow p-subgroup of PSL2(p) has order p(p-1)/2
+        Instance(f"psl2-normalizer/p={p}",
+                 f"|P|={p},|N|={p * (p - 1) // 2},C_N(P)==P=True",
+                 _psl2_order(p), _sylow_normalizer, (p,),
+                 "Sylow normalizer centralizes the Sylow subgroup only inside itself")
+        for p in (5, 7)
+    ]
 
 
 _SWEEPS = {
@@ -813,15 +673,18 @@ _SWEEPS = {
 }
 
 
-def verify(
-    theorem_id: str, max_order: int | None = None, jobs: int = 1
-) -> list[TheoremReport]:
-    """Run the default instance sweep for one theorem id."""
+def sweep(theorem_id: str) -> list[Instance]:
+    """The instance records of one theorem id's default sweep."""
     if theorem_id not in _SWEEPS:
         raise ValueError(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
-    return _execute(_SWEEPS[theorem_id](max_order), jobs)
+    return _SWEEPS[theorem_id]()
+
+
+def verify(theorem_id: str, max_order: int | None = None) -> list[TheoremReport]:
+    """Run the default instance sweep for one theorem id."""
+    return _run(sweep(theorem_id), max_order)
 
 
 # -- manifests ---------------------------------------------------------------------
@@ -858,37 +721,36 @@ def bundled_manifest_path() -> Path:
     return Path(str(resources.files("centra.data").joinpath("manifest.json")))
 
 
-def run_manifest(
-    path: str | Path,
-    jobs: int = 1,
-    max_order: int | None = None,
-) -> ManifestResult:
-    """Execute every manifest entry; sweeps expand, spot entries run one check."""
+def manifest_instances(path: str | Path) -> list[Instance]:
+    """The records of a manifest: sweeps expand, spot entries check one spec."""
     path = Path(path)
-    entries = json.loads(path.read_text())
-    base_dir = path.parent
-    instances: list[Instance] = []
-    for entry in entries:
+    out: list[Instance] = []
+    for entry in json.loads(path.read_text()):
         theorem = entry["theorem"]
         if theorem not in _SWEEPS:
             raise CentraError(f"unknown theorem id {theorem!r} in manifest")
         if "spec" not in entry:
-            instances.extend(_SWEEPS[theorem](max_order))
+            out += sweep(theorem)
             continue
         spec = entry["spec"]
-        expect = entry["expect"]
-        iid = entry.get("id", f"{theorem}/{spec}")
+        out.append(_spec_instance(
+            entry.get("id", f"{theorem}/{spec}"), entry["expect"], None, spec,
+            f"manifest spot check against {theorem}", path.parent,
+            "C" if theorem == "class-C-finite" else "X",
+        ))
+    return out
 
-        def thunk(theorem=theorem, spec=spec):
-            G = parse_group_spec(spec, base_dir=base_dir)
-            if theorem == "class-C-finite":
-                verdict = classify.in_class_C(G)
-            else:
-                verdict = classify.in_class_X(G)
-            witness = verdict.witness.to_json() if verdict.witness else None
-            return ("member" if verdict.member else "non-member"), witness
 
-        instances.append(
-            (iid, expect, thunk, f"manifest spot check against {theorem}")
-        )
-    return ManifestResult(_execute(instances, jobs))
+def run_manifest(
+    path: str | Path,
+    *,
+    max_order: int | None = None,
+    jobs: int = 1,
+) -> ManifestResult:
+    """Execute every manifest entry; sweeps expand, spot entries run one check.
+
+    ``jobs`` remains only for perfbench/worker.py, its one caller, and must
+    be 1: instances run one after another."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
+    return ManifestResult(_run(manifest_instances(path), max_order))

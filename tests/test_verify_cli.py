@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -9,15 +10,21 @@ from centra.cli import main
 from centra.errors import InvariantError
 from centra.verify import (
     THEOREM_IDS,
+    Instance,
     bundled_manifest_path,
     class_c_prediction,
     default_corpus,
+    manifest_instances,
     ncsupersoluble_sweep_actions,
     psl2_membership_prediction,
     run_manifest,
+    sweep,
     verify,
 )
-from centra.constructors import cyclic, dihedral, symmetric
+from centra.constructors import cyclic, dihedral, parse_group_spec, symmetric
+
+# the module, which the package's ``verify`` function shadows
+verify_module = importlib.import_module("centra.verify")
 
 
 def test_theorem_id_validation():
@@ -43,12 +50,17 @@ def test_reports_sorted_and_deterministic():
     ]
 
 
-def test_parallelism_does_not_change_reports():
-    seq = verify("t-csupersoluble", jobs=1)
-    par = verify("t-csupersoluble", jobs=4)
-    assert [(r.instance, r.expected, r.computed, r.passed) for r in seq] == [
-        (r.instance, r.expected, r.computed, r.passed) for r in par
-    ]
+def test_run_manifest_accepts_only_one_job():
+    with pytest.raises(ValueError):
+        run_manifest(bundled_manifest_path(), jobs=2)
+
+
+def test_cli_has_no_jobs_option(capsys):
+    for argv in (["run-manifest", "--jobs", "2"],
+                 ["verify", "examples", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_max_order_skips_do_not_fail():
@@ -59,6 +71,59 @@ def test_max_order_skips_do_not_fail():
         "t-finitesimple/psl2:5",
         "t-finitesimple/psl2:7",
     }
+
+
+def test_max_order_leaves_out_larger_examples():
+    reports = verify("examples", max_order=20)
+    assert all(r.passed for r in reports)
+    assert {r.instance for r in reports} == {"examples/ex12", "examples/ex18"}
+
+
+def test_making_records_builds_no_group(monkeypatch):
+    calls = []
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("centra") and hasattr(module, "close_generators"):
+            monkeypatch.setattr(module, "close_generators",
+                                lambda *args, **kwargs: calls.append(args))
+    records = [inst for tid in THEOREM_IDS for inst in sweep(tid)]
+    records += manifest_instances(bundled_manifest_path())
+    # 301 sweep records, then the manifest's 304: the sweeps again and 3 spots
+    assert len(records) == 301 + 304
+    assert calls == []
+
+
+def test_table_orders_are_built_orders():
+    orders = {label: order for label, order, _, _ in verify_module._corpus_table()}
+    for label, G in default_corpus():
+        assert G.order == orders[label], label
+    for tid in ("t-abelian", "t-finitep", "p-dihedral", "lemma-family",
+                "t-finitesimple"):
+        for inst in sweep(tid):
+            # _membership("X", parse_group_spec, spec, None) or _lemma_family(spec)
+            spec = inst.args[-2] if len(inst.args) > 1 else inst.args[0]
+            assert parse_group_spec(spec).order == inst.order, inst.id
+    orders = {label: spec.acting.order * spec.target.order
+              for label, spec, _ in ncsupersoluble_sweep_actions()}
+    for inst in sweep("t-ncsupersoluble"):
+        label = inst.id.partition("/")[2]
+        if label in orders:
+            assert inst.order == orders[label], inst.id
+
+
+def test_build_over_cap_is_skipped(tmp_path, monkeypatch):
+    # symmetric(4) closes past an order cap of 10 and raises GroupTooLargeError
+    too_large = Instance("psl2-normalizer/too-large", "member", 24,
+                         verify_module._membership, ("X", symmetric, 4, 10))
+    monkeypatch.setitem(verify_module._SWEEPS, "psl2-normalizer", lambda: [too_large])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([{"theorem": "psl2-normalizer"}]))
+    result = run_manifest(path)
+    assert [r.instance for r in result.reports] == ["psl2-normalizer/too-large"]
+    assert result.reports[0].skipped
+    assert result.reports[0].computed.startswith("skipped: ")
+    assert result.summary() == "1 instances: 0 passed, 0 failed, 1 skipped"
+    assert result.exit_code == 0
 
 
 def test_failing_reports_embed_witness():
@@ -207,9 +272,10 @@ def test_cli_subgroups_listing(capsys):
 
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "t-csupersoluble"]) == 0
-    out = capsys.readouterr().out
-    lines = [json.loads(line) for line in out.strip().splitlines()]
+    captured = capsys.readouterr()
+    lines = [json.loads(line) for line in captured.out.strip().splitlines()]
     assert all(line["pass"] for line in lines)
+    assert captured.err == "3 instances: 3 passed, 0 failed, 0 skipped\n"
 
 
 def test_cli_usage_error_exit_2(capsys):
