@@ -132,7 +132,8 @@ def semidihedral(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 def generalized_quaternion(order: int,
                            order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Q_{2^n} (n >= 3) via its normal form a^i b^j and regular representation."""
+    """Q_{2^n} (n >= 3) via its normal form a^i b^j, acting on itself by left
+    multiplication (the regular representation, generated by a and b)."""
     n = _power_of_two_exponent(order)
     if n is None or n < 3:
         raise ValueError("generalized quaternion order must be 2^n with n >= 3")
@@ -149,9 +150,15 @@ def generalized_quaternion(order: int,
         return ((i - k + half) % m, 0)
 
     elems = [(i, j) for j in range(2) for i in range(m)]
+    gens = _left_multiplications(mul, elems, [(1, 0), (0, 1)])
+    return _of_order(close_generators(gens, order_cap), order)
+
+
+def _left_multiplications(mul, elems: list, gens: list) -> list[Perm]:
+    """x -> g*x on the points ``elems`` (x at its position) for each g in
+    ``gens``: generators of the regular representation, without a table."""
     index = {e: t for t, e in enumerate(elems)}
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
-    return _of_order(regular_representation(table, order_cap=order_cap), order)
+    return [Perm([index[mul(g, x)] for x in elems]) for g in gens]
 
 
 def _power_of_two_exponent(order: int) -> int | None:
@@ -169,7 +176,8 @@ def extraspecial_p3(p: int, exponent: str = "p",
 
     exponent="p": unitriangular 3x3 matrices over GF(p), acting faithfully
     on p^2 points (cosets of a non-normal order-p subgroup).
-    exponent="p2": C_{p^2} semidirect C_p via its regular representation.
+    exponent="p2": C_{p^2} semidirect C_p via its regular representation,
+    generated by left multiplication by (1, 0) and (0, 1).
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime (order-8 cases are D8/Q8)")
@@ -192,9 +200,8 @@ def extraspecial_p3(p: int, exponent: str = "p",
             return ((i + k * pow(1 + p, j, p2)) % p2, (j + l) % p)
 
         elems = [(i, j) for j in range(p) for i in range(p2)]
-        index = {e: t for t, e in enumerate(elems)}
-        table = [[index[mul(a, b)] for b in elems] for a in elems]
-        G = regular_representation(table, order_cap=order_cap)
+        gens = _left_multiplications(mul, elems, [(1, 0), (0, 1)])
+        G = close_generators(gens, order_cap)
     return _of_order(G, p**3)
 
 
@@ -445,21 +452,15 @@ def semidirect(spec: ActionSpec,
 
     gens = []
     for gn in N.generator_indices():
+        left = [N.mul(gn, n) for n in range(N.order)]
         gens.append(
-            Perm(
-                pt(N.mul(gn, n), h)
-                for n in range(N.order)
-                for h in range(H.order)
-            )
+            Perm(pt(left[n], h) for n in range(N.order) for h in range(H.order))
         )
     for gpos, gh in enumerate(H.generator_indices()):
         auto = spec.images[gpos].images
+        left = [H.mul(gh, h) for h in range(H.order)]
         gens.append(
-            Perm(
-                pt(auto[n], H.mul(gh, h))
-                for n in range(N.order)
-                for h in range(H.order)
-            )
+            Perm(pt(auto[n], left[h]) for n in range(N.order) for h in range(H.order))
         )
     return _of_order(close_generators(gens, order_cap), N.order * H.order)
 
@@ -593,7 +594,9 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
                     hint = int(h)
             else:
                 raise ValueError(f"bad presentation suffix {suffix!r}")
-        realized = realize(pres, convention=convention, order_hint=hint)
+        realized = realize(
+            pres, convention=convention, order_hint=hint, order_cap=order_cap
+        )
         return realized.group
     raise ValueError(f"unknown group spec {spec!r}")
 

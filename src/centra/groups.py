@@ -18,6 +18,12 @@ sorted with the rows, are binary-searched as big-endian void keys.  Every
 index-level operation (products, inverses, conjugation batches,
 right-multiplication columns, commute masks) computes only the base images
 of its results with numpy and finds them in one lookup.
+Closures and orbits are one Python walk, ``_walk``, over index maps
+(``col[x]`` = image of element x): a subgroup is the walk from the identity
+over its seeds' right-multiplication columns; conjugacy classes and normal
+closures walk one conjugation map per generator of G; and the orbits of
+cyclic subgroups walk those maps restricted to the subgroups' least
+generators.
 ``Perm`` objects are made only at the boundary, one index at a time with
 ``element(i)``; ``elements`` is a lazily cached tuple of all of them.
 Structural caches (orders, center, conjugacy classes) are filled once on
@@ -170,6 +176,10 @@ class FiniteGroup:
     def generator_indices(self) -> list[int]:
         return [self.index_of(g) for g in self.generators]
 
+    def _indices(self, items) -> list[int]:
+        """Element indices of ``items``, each a Perm or an index."""
+        return [self.index_of(s) if isinstance(s, Perm) else int(s) for s in items]
+
     # -- index-level arithmetic -----------------------------------------
 
     def _index_base_images(self) -> None:
@@ -238,15 +248,13 @@ class FiniteGroup:
         return int(self._find(self._inverse_row(i)[self.base]))
 
     def conjugates(self, xs: Sequence[int], g: int) -> list[int]:
-        """Indices of g^-1 * x * g for each index x in ``xs``, in one batch."""
-        return self._conjugates(xs, g, self._inverse_row(g))
-
-    def _conjugates(self, xs: Sequence[int], g: int, g_inv: np.ndarray) -> list[int]:
-        """conjugates(xs, g), given the image row ``g_inv`` of g^-1."""
+        """Indices of g^-1 * x * g for each index x in ``xs``, in one batch;
+        the ints are the shared ``_ints``, as in ``right_mult_column``."""
         E = self.matrix
         # (g^-1 * x * g)[b] = g^-1[x[g[b]]]
         rows = np.asarray(xs, dtype=np.intp).reshape(-1, 1)
-        return self._find(g_inv[E[rows, E[g, self.base]]]).tolist()
+        found = self._find(self._inverse_row(g)[E[rows, E[g, self.base]]])
+        return self._ints[found.reshape(-1)].tolist()
 
     def conj(self, i: int, g: int) -> int:
         """Index of elements[i]^elements[g] = g^-1 * x * g."""
@@ -302,25 +310,11 @@ class FiniteGroup:
         return np.flatnonzero(bits).tolist()
 
     def closure_mask(self, seed: Iterable[int]) -> int:
-        """Bit-set of the subgroup generated by the seed element indices."""
+        """Bit-set of the subgroup generated by the seed element indices:
+        the walk from the identity under right multiplication by each seed."""
         seed = list(seed)
-        mask = 1
-        frontier = [0]
-        for s in seed:
-            if not (mask >> s) & 1:
-                mask |= 1 << s
-                frontier.append(s)
         cols = [self.right_mult_column(g) for g in seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for col in cols:
-                    y = col[x]
-                    if not (mask >> y) & 1:
-                        mask |= 1 << y
-                        nxt.append(y)
-            frontier = nxt
-        return mask
+        return self.mask_of(_walk(cols, [0, *seed], bytearray(self.order)))
 
     def cyclic_masks(self) -> list[int]:
         """For each element index i, the bit-set of <elements[i]>."""
@@ -412,9 +406,7 @@ class FiniteGroup:
         if isinstance(subset, SubgroupRef):
             indices = subset.generating_set()
         else:
-            indices = [
-                self.index_of(s) if isinstance(s, Perm) else int(s) for s in subset
-            ]
+            indices = self._indices(subset)
         return SubgroupRef(self, self.centralizer_mask(indices))
 
     def center(self) -> "SubgroupRef":
@@ -424,35 +416,21 @@ class FiniteGroup:
 
     # -- conjugacy ---------------------------------------------------------
 
-    def _orbit(self, seeds: Iterable[int], gens: Sequence[int]) -> set[int]:
-        """All conjugates of ``seeds`` under <gens>, one batch per frontier
-        and generator."""
-        inverses = [(g, self._inverse_row(g)) for g in gens]
-        out = set(seeds)
-        frontier = sorted(out)
-        while frontier:
-            nxt = []
-            for g, g_inv in inverses:
-                for y in self._conjugates(frontier, g, g_inv):
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return out
+    def _conjugation_maps(self) -> list[list[int]]:
+        """map[x] = index of g^-1 * x * g, one map per generator g of G."""
+        everything = range(self.order)
+        return [self.conjugates(everything, g) for g in self.generator_indices()]
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Orbits of conjugation, each sorted, listed by least representative."""
         if self._classes is None:
-            gens = self.generator_indices()
-            seen = [False] * self.order
-            classes = []
-            for start in range(self.order):
-                if not seen[start]:
-                    orbit = sorted(self._orbit([start], gens))
-                    for y in orbit:
-                        seen[y] = True
-                    classes.append(orbit)
-            self._classes = classes
+            maps = self._conjugation_maps()
+            seen = bytearray(self.order)
+            self._classes = [
+                sorted(_walk(maps, [x], seen))
+                for x in range(self.order)
+                if not seen[x]
+            ]
         return self._classes
 
     def class_representatives(self) -> list[int]:
@@ -463,13 +441,12 @@ class FiniteGroup:
         cyclic subgroups <r> for r in ``reps`` (ascending cyclic_reps() fixed
         points whose subgroups <gens> permutes)."""
         crep = self.cyclic_reps()
-        done: set[int] = set()
-        out = []
-        for r in reps:
-            if r not in done:
-                out.append(r)
-                done.update(crep[y] for y in self._orbit([r], gens))
-        return out
+        maps = [
+            dict(zip(reps, (crep[y] for y in self.conjugates(reps, g))))
+            for g in gens
+        ]
+        seen = bytearray(self.order)
+        return [r for r in reps if _walk(maps, [r], seen)]
 
     # -- generated structure ------------------------------------------------
 
@@ -483,17 +460,12 @@ class FiniteGroup:
         return SubgroupRef(self, 1)
 
     def generated_subgroup(self, seed) -> "SubgroupRef":
-        indices = [
-            self.index_of(s) if isinstance(s, Perm) else int(s) for s in seed
-        ]
-        return SubgroupRef(self, self.closure_mask(indices))
+        return SubgroupRef(self, self.closure_mask(self._indices(seed)))
 
     def normal_closure(self, seed) -> "SubgroupRef":
         """Smallest normal subgroup containing the given elements."""
-        indices = [
-            self.index_of(s) if isinstance(s, Perm) else int(s) for s in seed
-        ]
-        conjugates = self._orbit(indices, self.generator_indices())
+        seen = bytearray(self.order)
+        conjugates = _walk(self._conjugation_maps(), self._indices(seed), seen)
         return SubgroupRef(self, self.closure_mask(sorted(conjugates)))
 
     def commutator_subgroup(self, A: "SubgroupRef", B: "SubgroupRef") -> "SubgroupRef":
@@ -547,6 +519,24 @@ class FiniteGroup:
             if g.degree != data["degree"]:
                 raise DegreeMismatchError("generator degree differs from header")
         return close_generators(gens, order_cap)
+
+
+def _walk(maps, starts: Iterable[int], seen: bytearray) -> list[int]:
+    """Breadth-first walk over index maps (``col[x]`` is the image of x):
+    marks in ``seen`` every index reached from ``starts`` and not yet marked,
+    and returns those indices in the order reached."""
+    out = []
+    for s in starts:
+        if not seen[s]:
+            seen[s] = 1
+            out.append(s)
+    for x in out:  # the list grows while it is read: a queue
+        for col in maps:
+            y = col[x]
+            if not seen[y]:
+                seen[y] = 1
+                out.append(y)
+    return out
 
 
 def _void_keys(images) -> np.ndarray:

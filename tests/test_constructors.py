@@ -27,7 +27,7 @@ from centra.constructors import (
     semidirect,
     symmetric,
 )
-from centra.errors import InvalidActionError
+from centra.errors import GroupTooLargeError, InvalidActionError
 from centra.fields import gf
 from centra.groups import close_generators
 from centra.perms import Perm
@@ -265,6 +265,53 @@ def test_regular_representation():
     assert G.degree == 5
     with pytest.raises(ValueError):
         regular_representation([[1, 1], [1, 1]])
+
+
+def _table(elems, mul):
+    index = {e: t for t, e in enumerate(elems)}
+    return [[index[mul(a, b)] for b in elems] for a in elems]
+
+
+def _quaternion_16_table():
+    # a^i b^j with a^8 = 1, b^2 = a^4, b a b^-1 = a^-1
+    def mul(e1, e2):
+        (i, j), (k, l) = e1, e2
+        if j == 0:
+            return ((i + k) % 8, l)
+        if l == 0:
+            return ((i - k) % 8, 1)
+        return ((i - k + 4) % 8, 0)
+
+    return _table([(i, j) for j in range(2) for i in range(8)], mul)
+
+
+def _c9_by_c3_table():
+    # (i, j) = a^i b^j with a^9 = b^3 = 1 and b^-1 a b = a^4
+    def mul(e1, e2):
+        (i, j), (k, l) = e1, e2
+        return ((i + k * pow(4, j, 9)) % 9, (j + l) % 3)
+
+    return _table([(i, j) for j in range(3) for i in range(9)], mul)
+
+
+@pytest.mark.parametrize(
+    "spec, table", [("q:16", _quaternion_16_table), ("xsp:3,p2", _c9_by_c3_table)]
+)
+def test_table_free_constructors_match_regular_representation(spec, table):
+    G, R = parse_group_spec(spec), regular_representation(table())
+    assert G.generators == R.generators
+    assert G.matrix.tolist() == R.matrix.tolist()
+    assert G.to_json() == R.to_json()
+
+
+def test_presentation_spec_obeys_order_cap(tmp_path):
+    (tmp_path / "c50.pres").write_text("gens: a\na^50 = 1\n")
+    spec = "presentation:@c50.pres"
+    assert parse_group_spec(spec, base_dir=tmp_path, order_cap=50).order == 50
+    with pytest.raises(GroupTooLargeError):
+        parse_group_spec(spec, base_dir=tmp_path, order_cap=10)
+    with pytest.raises(GroupTooLargeError):
+        parse_group_spec(spec + "#A", base_dir=tmp_path, order_cap=10)
 
 
 def test_fermat_mersenne():

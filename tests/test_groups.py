@@ -480,3 +480,80 @@ def test_cached_columns_share_int_objects():
     assert sorted(a) == sorted(b) == list(range(G.order))
     where = {y: x for x, y in enumerate(b)}
     assert all(y is b[where[y]] for y in a)
+
+
+def _perm_closure(seed, identity):
+    """The subgroup generated by the Perms ``seed``, by a breadth-first walk
+    under right multiplication."""
+    out, frontier = {identity}, {identity}
+    while frontier:
+        frontier = {x * s for x in frontier for s in seed} - out
+        out |= frontier
+    return out
+
+
+def _perm_mask(G, perms):
+    return G.mask_of(G.index_of(p) for p in perms)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_closure_mask_matches_perm_closure(name):
+    G = REFERENCE_GROUPS[name]
+    el, identity = G.elements, Perm.identity(G.degree)
+    rng = random.Random(name)
+    for size in (0, 1, 1, 2, 2, 3):
+        seed = [rng.randrange(G.order) for _ in range(size)]
+        expected = _perm_closure([el[s] for s in seed], identity)
+        assert G.closure_mask(seed) == _perm_mask(G, expected), seed
+    assert G.closure_mask(G.generator_indices()) == G.full_mask
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_normal_closure_matches_conjugates_then_closure(name):
+    G = REFERENCE_GROUPS[name]
+    el, identity = G.elements, Perm.identity(G.degree)
+    rng = random.Random(name)
+    for size in (1, 1, 2):
+        seed = [rng.randrange(G.order) for _ in range(size)]
+        conjugates = {el[s].conjugate_by(g) for s in seed for g in el}
+        # close one conjugate at a time, keeping only those that enlarge it
+        kept, expected = [], {identity}
+        for c in sorted(conjugates):
+            if c not in expected:
+                kept.append(c)
+                expected = _perm_closure(kept, identity)
+        assert G.normal_closure(seed).mask == _perm_mask(G, expected), seed
+        assert G.normal_closure([el[s] for s in seed]).mask == _perm_mask(G, expected)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_cyclic_orbit_reps_match_brute_force_orbits(name):
+    # W = C_G(z) for the non-central z with the largest non-abelian (else
+    # largest) centralizer, or G when G is abelian; W acts by conjugation on
+    # its cyclic subgroups, each named by its cyclic mask
+    G = REFERENCE_GROUPS[name]
+    rows, cyc, crep = G.matrix, G.cyclic_masks(), G.cyclic_reps()
+    centralizers = [SubgroupRef(G, G.commute_mask(z)) for z in range(G.order)]
+    z = max(
+        (z for z in range(G.order) if centralizers[z].order < G.order),
+        key=lambda z: (not centralizers[z].is_abelian(), centralizers[z].order, -z),
+        default=0,
+    )
+    W = centralizers[z]
+    reps = [i for i in W.indices() if crep[i] == i]
+    # x^w = w^-1 * x * w on full image rows (w applied first)
+    index = {rows[i].tobytes(): i for i in range(G.order)}
+    inverse = {w: np.argsort(rows[w]).astype(rows.dtype) for w in W.indices()}
+
+    def conj(x, w):
+        return index[inverse[w][rows[x][rows[w]]].tobytes()]
+
+    seen, expected = set(), []
+    for r in reps:
+        if cyc[r] not in seen:
+            expected.append(r)
+            seen |= {cyc[conj(r, w)] for w in W.indices()}
+    assert G.cyclic_orbit_reps(reps, W.generating_set()) == expected
+    # a non-abelian W moves some cyclic subgroup here (sym:5, psl2:7 and
+    # dp:sym:4;dihedral:8), so those orbits are not all single points
+    assert W.is_abelian() or len(expected) < len(reps)

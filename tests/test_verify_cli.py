@@ -283,6 +283,15 @@ def test_cli_usage_error_exit_2(capsys):
     assert main(["check-x", "cyclic"]) == 2
 
 
+def test_cli_order_cap_bounds_presentation_specs(tmp_path, monkeypatch, capsys):
+    (tmp_path / "c50.pres").write_text("gens: a\na^50 = 1\n")
+    monkeypatch.chdir(tmp_path)
+    for spec in ("presentation:@c50.pres", "cyclic:50"):
+        assert main(["check-x", spec, "--order-cap", "10"]) == 2
+        assert "cap of 10" in capsys.readouterr().err
+    assert main(["check-x", "presentation:@c50.pres", "--order-cap", "50"]) == 0
+
+
 def test_cli_invariant_failure_exit_3(monkeypatch, capsys):
     def broken(G):
         raise InvariantError("broken on purpose")
