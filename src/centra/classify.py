@@ -19,35 +19,41 @@ all-subgroups oracle):
 
 Proof.  If <a,b> is non-cyclic with z in C_G(a) n C_G(b) \\ <a,b>, then
 H = <a,b> is a non-cyclic subgroup whose centralizer contains z outside H.
-Conversely let H be non-cyclic with z in C_G(H) \\ H.  A finite group whose
-2-generated subgroups are all cyclic is cyclic (all pairs commute, so it is
-abelian, and a non-cyclic abelian group contains C_p x C_p, which is
-2-generated and non-cyclic); hence some a, b in H generate a non-cyclic
-K <= H.  z centralizes H, so a, b in C_G(z); and z not in H >= K.  QED
+Conversely let H be non-cyclic with z in C_G(H) \\ H.  H contains a
+minimal non-cyclic K = <a,b> (see (c)); z centralizes H, so a, b in C_G(z);
+and z not in H >= K.  QED
 
 Because the condition is conjugation-invariant, z may range over conjugacy
 class representatives, and a, b over canonical generators of the distinct
 cyclic subgroups inside W = C_G(z) (replacing a generator by another
-generator of the same cyclic subgroup does not change <a,b>).  Two further
+generator of the same cyclic subgroup does not change <a,b>).  Three further
 cuts keep the scan sound:
 
-(a) a and b may be taken of prime-power order.  Let K = <a,b> be non-cyclic
-    with z in C_G(K) \\ K, and suppose any two prime-power elements of K
-    generate a cyclic group.  Then they commute, and they generate K (each
-    element is a product of its prime-power parts, which are its powers),
-    so K is abelian; its Sylow subgroups contain no C_p x C_p (generated by
-    two p-elements), so they and K are cyclic, a contradiction.  Hence some
-    prime-power a', b' in K generate a non-cyclic K' <= K, and z is in
-    C_G(K') \\ K'.  (Alternatively, by Miller and Moreno, Trans. AMS 4
-    (1903), each minimal non-cyclic group -- C_p x C_p, Q8 or C_p x| C_{q^m}
-    -- has two such generators.)
+(a) a and b may be taken of prime-power order: the generators in (c) are.
 
 (b) a may be taken from one cyclic subgroup per W-conjugacy orbit.  Let
     <a,b> violate at z and w in W.  Conjugation by w fixes z and maps W to
     itself, so <a^w, b^w> = <a,b>^w is non-cyclic, lies in W, and misses
     z^w = z.  Choosing w with <a>^w the orbit representative <a'> gives a
-    violation <a', b^w> at z, and b^w again has prime-power order.  b must
-    still range over every cyclic subgroup, since w is spent on a.
+    violation <a', b^w> at z, and b^w again has the order of b (and (c)
+    still holds, as conjugation maps minimal non-cyclic groups to such).
+    b must still range over every cyclic subgroup, since w is spent on a.
+
+(c) Only pairs that can generate a minimal non-cyclic K (all of whose
+    proper subgroups are cyclic) are closed, and only up to |K|.  A
+    non-cyclic H <= C_G(z) missing z contains such a K (a least non-cyclic
+    subgroup), which misses z too.  By Miller and Moreno, Trans. AMS 4
+    (1903), K is C_p x C_p, Q8 or C_p x| C_{q^m} (p != q, y^q central for
+    y of order q^m), generated by elements of orders (p, p), (4, 4) or
+    (p, q^m), and |K| = p^2, 8 or p.q^m.  A pair of other orders, or whose
+    closure passes that bound, generates no such K and is skipped.  Within
+    its bound a non-cyclic <a,b> has exactly that order, and is minimal
+    iff: (p, p); or (4, 4) and ab != ba (Q8, not C4 x C2); or (p, q^m) and
+    x of order p commutes with y^q (else <x, y^q> is a smaller non-cyclic
+    group; if so, Z = <y^q> is central and K/Z of order pq is not abelian:
+    if p > q, <x> is normal and K is C_p x| C_{q^m} as listed; if q > p,
+    <y> is, and x, fixing y^q, acts trivially on it unless m = 1, when K
+    is C_q x| C_p).  Only minimal K are taken as witnesses.
 """
 
 from __future__ import annotations
@@ -107,17 +113,24 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
 
     For each conjugacy class representative z with non-cyclic W = C_G(z),
     b ranges over the cyclic subgroups of prime-power order in W and a over
-    one of them per W-conjugacy orbit (the module docstring proves this
-    suffices).  On failure the witness is the first violation in
+    one of them per W-conjugacy orbit; only minimal non-cyclic <a,b> are
+    sought, so only pairs of orders (p, p), (4, 4) or (p, q^m) are closed,
+    each only up to p^2, 8 or p.q^m elements (cuts (a)-(c) of the module
+    docstring).  On failure the witness is the first violation in
     (z, orbit-rep a, b) order of this reduced scan, each ascending by
-    element index, so it is deterministic and both its generators have
-    prime-power order.
+    element index, so it is deterministic and generates a minimal
+    non-cyclic group.
     """
     orders = G.element_orders()
-    cyc = G.cyclic_masks()
-    cyclic_set = set(cyc)
+    cyclic_set = set(G.cyclic_masks())
     cyc_reps = G.cyclic_reps()
-    prime_power = {o for o in set(orders) if len(factorize(o)) == 1}
+    # (prime, exponent) of each prime-power order; for each pair of them,
+    # |K| of a minimal non-cyclic K they generate (cut (c)), or 0 if none
+    prime_power = {o: f[0] for o in set(orders) if len(f := factorize(o)) == 1}
+    bounds = {(m, n): m * n if min(e, f) == 1 and (p != q or m == n)
+              else 8 if m == n == 4 else 0
+              for m, (p, e) in prime_power.items()
+              for n, (q, f) in prime_power.items()}
     abelian = G.is_abelian
     memo: dict[tuple[int, int], int] = {}
 
@@ -134,15 +147,17 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
         orbit_reps = reps if abelian else G.cyclic_orbit_reps(
             reps, SubgroupRef(G, wmask).generating_set())
         for a in orbit_reps:
-            ca = cyc[a]
+            oa = orders[a]
             for b in reps:
-                if (ca >> b) & 1 or (cyc[b] >> a) & 1:
-                    continue  # one power of the other: <a,b> is cyclic
+                bound = bounds[oa, orders[b]]  # if any, b in <a> iff a == b
+                if not bound or a == b:
+                    continue
                 key = (a, b) if a < b else (b, a)
                 kmask = memo.get(key)
                 if kmask is None:
-                    kmask = memo[key] = G.closure_mask(key)
-                if not (kmask >> z) & 1 and kmask not in cyclic_set:
+                    kmask = memo[key] = G.bounded_closure_mask(key, bound)
+                if (kmask and not (kmask >> z) & 1 and kmask not in cyclic_set
+                        and _is_minimal(G, a, b, prime_power)):
                     return MembershipVerdict(
                         member=False,
                         witness=Witness(
@@ -151,6 +166,16 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
                         method=METHOD_PAIR,
                     )
     return MembershipVerdict(member=True, witness=None, method=METHOD_PAIR)
+
+
+def _is_minimal(G: FiniteGroup, a: int, b: int, prime_power: dict) -> bool:
+    """Whether <a,b>, non-cyclic within its bound of cut (c), is minimal
+    non-cyclic (the test proved there)."""
+    (p, e), (q, f) = (prime_power[G.element_order(i)] for i in (a, b))
+    if p == q:
+        return e == 1 or G.mul(a, b) != G.mul(b, a)
+    x, y = (a, G.power(b, q)) if e == 1 else (b, G.power(a, p))
+    return G.mul(x, y) == G.mul(y, x)
 
 
 def in_class_X_bruteforce(

@@ -20,7 +20,8 @@ right-multiplication columns, commute masks) computes only the base images
 of its results with numpy and finds them in one lookup.
 Closures and orbits are one Python walk, ``_walk``, over index maps
 (``col[x]`` = image of element x): a subgroup is the walk from the identity
-over its seeds' right-multiplication columns; conjugacy classes and normal
+over its seeds' right-multiplication columns, stopped once it passes a
+bound where only small subgroups are wanted; conjugacy classes and normal
 closures walk one conjugation map per generator of G; and the orbits of
 cyclic subgroups walk those maps restricted to the subgroups' least
 generators.
@@ -312,9 +313,15 @@ class FiniteGroup:
     def closure_mask(self, seed: Iterable[int]) -> int:
         """Bit-set of the subgroup generated by the seed element indices:
         the walk from the identity under right multiplication by each seed."""
+        return self.bounded_closure_mask(seed, self.order)
+
+    def bounded_closure_mask(self, seed: Iterable[int], bound: int) -> int:
+        """``closure_mask(seed)`` if that subgroup has at most ``bound``
+        elements, else 0; the walk stops once it has passed ``bound``."""
         seed = list(seed)
         cols = [self.right_mult_column(g) for g in seed]
-        return self.mask_of(_walk(cols, [0, *seed], bytearray(self.order)))
+        walked = _walk(cols, [0, *seed], bytearray(self.order), bound)
+        return self.mask_of(walked) if len(walked) <= bound else 0
 
     def cyclic_masks(self) -> list[int]:
         """For each element index i, the bit-set of <elements[i]>."""
@@ -466,7 +473,12 @@ class FiniteGroup:
         """Smallest normal subgroup containing the given elements."""
         seen = bytearray(self.order)
         conjugates = _walk(self._conjugation_maps(), self._indices(seed), seen)
-        return SubgroupRef(self, self.closure_mask(sorted(conjugates)))
+        gens, mask = [], 1  # only a few conjugates build a column
+        for c in sorted(conjugates):
+            if not (mask >> c) & 1:
+                gens.append(c)
+                mask = self.closure_mask(gens)
+        return SubgroupRef(self, mask)
 
     def commutator_subgroup(self, A: "SubgroupRef", B: "SubgroupRef") -> "SubgroupRef":
         """[A, B] for subgroups of this group (normal closure of [a, b])."""
@@ -521,16 +533,22 @@ class FiniteGroup:
         return close_generators(gens, order_cap)
 
 
-def _walk(maps, starts: Iterable[int], seen: bytearray) -> list[int]:
+def _walk(maps, starts: Iterable[int], seen: bytearray,
+          bound: int | None = None) -> list[int]:
     """Breadth-first walk over index maps (``col[x]`` is the image of x):
     marks in ``seen`` every index reached from ``starts`` and not yet marked,
-    and returns those indices in the order reached."""
+    and returns those indices in the order reached.  With a ``bound``, the
+    walk stops at the first index it dequeues once it has reached more than
+    ``bound``."""
     out = []
     for s in starts:
         if not seen[s]:
             seen[s] = 1
             out.append(s)
+    limit = len(seen) if bound is None else bound
     for x in out:  # the list grows while it is read: a queue
+        if len(out) > limit:
+            break
         for col in maps:
             y = col[x]
             if not seen[y]:

@@ -282,6 +282,17 @@ def test_is_simple():
     assert not is_simple(abelian([3, 3]))
 
 
+def test_is_simple_closes_conjugates_one_at_a_time():
+    # normal_closure closes one conjugate at a time, skipping those already
+    # inside, so only a few seeds build a right-multiplication column; closing
+    # the whole class at once built one column per non-identity element
+    # (1 091 on psl2:13), and psl2:31 ran toward 1.8 GB of columns
+    G = psl2(13)
+    assert is_simple(G)
+    assert len(G._columns) == 19
+    assert is_simple(psl2(31))
+
+
 def test_quaternion_complement_member():
     G, spec = quaternion_on_c3()
     assert G.order == 24
