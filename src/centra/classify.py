@@ -59,6 +59,7 @@ cuts keep the scan sound:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .constructors import ActionSpec
 from .fields import factorize, is_prime
@@ -116,47 +117,53 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
     one of them per W-conjugacy orbit; only minimal non-cyclic <a,b> are
     sought, so only pairs of orders (p, p), (4, 4) or (p, q^m) are closed,
     each only up to p^2, 8 or p.q^m elements (cuts (a)-(c) of the module
-    docstring).  On failure the witness is the first violation in
-    (z, orbit-rep a, b) order of this reduced scan, each ascending by
-    element index, so it is deterministic and generates a minimal
-    non-cyclic group.
+    docstring).  W, or the closure K of a pair, is cyclic iff one of its
+    members has order |W| or |K|, so orders and cyclic subgroups are asked
+    for only inside the centralizers scanned, and the representatives are
+    found once per distinct W (once in all for an abelian G).  On failure
+    the witness is the first violation in (z, orbit-rep a, b) order of this
+    reduced scan, each ascending by element index, so it is deterministic
+    and generates a minimal non-cyclic group.
     """
-    orders = G.element_orders()
-    cyclic_set = set(G.cyclic_masks())
-    cyc_reps = G.cyclic_reps()
-    # (prime, exponent) of each prime-power order; for each pair of them,
+    # (prime, exponent) of a prime-power order, else None; for two of them,
     # |K| of a minimal non-cyclic K they generate (cut (c)), or 0 if none
-    prime_power = {o: f[0] for o in set(orders) if len(f := factorize(o)) == 1}
-    bounds = {(m, n): m * n if min(e, f) == 1 and (p != q or m == n)
-              else 8 if m == n == 4 else 0
-              for m, (p, e) in prime_power.items()
-              for n, (q, f) in prime_power.items()}
+    prime_power = cache(lambda o: f[0] if len(f := factorize(o)) == 1 else None)
+
+    @cache
+    def bound(m: int, n: int) -> int:
+        (p, e), (q, f) = prime_power(m), prime_power(n)
+        return (m * n if min(e, f) == 1 and (p != q or m == n)
+                else 8 if m == n == 4 else 0)
+
     abelian = G.is_abelian
     memo: dict[tuple[int, int], int] = {}
+    scans: dict[int, tuple[list, list]] = {}  # per distinct W: reps, orbit reps
 
     for z in G.class_representatives():
         if z == 0:
             continue
         wmask = G.full_mask if abelian else G.centralizer_mask([z])
-        if wmask in cyclic_set:
-            continue  # cyclic centralizer cannot contain a non-cyclic subgroup
-        reps = [
-            i for i in G.mask_indices(wmask)
-            if cyc_reps[i] == i and orders[i] in prime_power
-        ]
-        orbit_reps = reps if abelian else G.cyclic_orbit_reps(
-            reps, SubgroupRef(G, wmask).generating_set())
+        if wmask not in scans:
+            W = SubgroupRef(G, wmask)
+            # a cyclic W cannot contain a non-cyclic subgroup: nothing to scan
+            reps = [] if W.is_cyclic() else [
+                (i, o) for i in W.indices()
+                if G.cyclic_rep(i) == i and prime_power(o := G.element_order(i))]
+            ids = [i for i, _ in reps]
+            scans[wmask] = reps, (ids if abelian or not ids else
+                                  G.cyclic_orbit_reps(ids, W.generating_set()))
+        reps, orbit_reps = scans[wmask]
         for a in orbit_reps:
-            oa = orders[a]
-            for b in reps:
-                bound = bounds[oa, orders[b]]  # if any, b in <a> iff a == b
-                if not bound or a == b:
-                    continue
+            oa = G.element_order(a)
+            for b, ob in reps:
+                if a == b or not (kbound := bound(oa, ob)):
+                    continue  # if any bound, b in <a> iff a == b
                 key = (a, b) if a < b else (b, a)
                 kmask = memo.get(key)
                 if kmask is None:
-                    kmask = memo[key] = G.bounded_closure_mask(key, bound)
-                if (kmask and not (kmask >> z) & 1 and kmask not in cyclic_set
+                    kmask = memo[key] = G.bounded_closure_mask(key, kbound)
+                if (kmask and not (kmask >> z) & 1
+                        and not SubgroupRef(G, kmask).is_cyclic()
                         and _is_minimal(G, a, b, prime_power)):
                     return MembershipVerdict(
                         member=False,
@@ -168,10 +175,10 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
     return MembershipVerdict(member=True, witness=None, method=METHOD_PAIR)
 
 
-def _is_minimal(G: FiniteGroup, a: int, b: int, prime_power: dict) -> bool:
+def _is_minimal(G: FiniteGroup, a: int, b: int, prime_power) -> bool:
     """Whether <a,b>, non-cyclic within its bound of cut (c), is minimal
     non-cyclic (the test proved there)."""
-    (p, e), (q, f) = (prime_power[G.element_order(i)] for i in (a, b))
+    (p, e), (q, f) = (prime_power(G.element_order(i)) for i in (a, b))
     if p == q:
         return e == 1 or G.mul(a, b) != G.mul(b, a)
     x, y = (a, G.power(b, q)) if e == 1 else (b, G.power(a, p))
@@ -208,12 +215,12 @@ def in_class_C(G: FiniteGroup) -> MembershipVerdict:
     C_G(H) <= C_G(a) <= <a> <= H.  Conjugation-invariance lets a range
     over class representatives.
     """
-    cyc = G.cyclic_masks()
     abelian = G.is_abelian
     for a in G.class_representatives():
         if a == 0:
             continue
-        outside = (G.full_mask if abelian else G.commute_mask(a)) & ~cyc[a]
+        centralizer = G.full_mask if abelian else G.commute_mask(a)
+        outside = centralizer & ~G.cyclic_mask(a)
         if outside:
             z = (outside & -outside).bit_length() - 1
             return MembershipVerdict(
@@ -363,11 +370,10 @@ def is_dihedral_group(G: FiniteGroup) -> bool:
         return False
     m = n // 2
     orders = G.element_orders()
-    cyc = G.cyclic_masks()
     for y in range(G.order):
         if orders[y] != m:
             continue
-        ymask = cyc[y]
+        ymask = G.cyclic_mask(y)
         yinv = G.inv(y)
         for x in range(1, G.order):
             if orders[x] == 2 and not (ymask >> x) & 1:

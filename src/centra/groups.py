@@ -28,10 +28,12 @@ generators.
 ``Perm`` objects are made only at the boundary, one index at a time with
 ``element(i)``; ``elements`` is a lazily cached tuple of all of them.
 Structural caches (orders, center, conjugacy classes) are filled once on
-demand.  Element orders and cyclic masks come from one walk over the
-cyclic subgroups: x^m is the identity iff it fixes B, so the order of x is
-the lcm of the cycle lengths of the base points, and all its powers are
-found from their base images in one lookup.
+demand.  Each cyclic subgroup is walked only when an order, cyclic mask or
+least generator of one of its elements is first asked for, so a scan that
+reads a few centralizers walks only their cyclic subgroups.  x^m is the
+identity iff it fixes B, so a walk finds the order of x as the lcm of the
+cycle lengths of the base points, and all its powers from their base
+images in one lookup.
 """
 
 from __future__ import annotations
@@ -117,11 +119,13 @@ class FiniteGroup:
             raise InvariantError("the identity must sort to index 0")
         self.base = _greedy_base(self.matrix)
         self._index_base_images()
-        self._orders: list[int] | None = None
+        # per element: order, bit-set of <i> and its least generator, filled
+        # by _walk_cyclic on demand (an order or mask of 0 is not yet known)
+        self._orders = [1] + [0] * (self.order - 1)
+        self._masks = [1] + [0] * (self.order - 1)
+        self._reps = [0] * self.order
         self._columns: dict[int, list[int]] = {}
         self._commute_masks: dict[int, int] = {}
-        self._cyclic_masks: list[int] | None = None
-        self._cyclic_reps: list[int] | None = None
         self._center: SubgroupRef | None = None
         self._classes: list[list[int]] | None = None
 
@@ -274,15 +278,15 @@ class FiniteGroup:
         return acc
 
     def element_orders(self) -> list[int]:
-        if self._orders is None:
-            self._walk_cyclic_subgroups()
-        return self._orders
+        return self._walk_all(self._orders)
 
     def element_order(self, g: Perm | int) -> int:
         """Least k >= 1 with g^k = identity; g must lie in the group."""
         if isinstance(g, Perm):
             g = self.index_of(g)
-        return self.element_orders()[g]
+        if not self._orders[g]:
+            self._walk_cyclic(g)
+        return self._orders[g]
 
     @property
     def is_abelian(self) -> bool:
@@ -325,59 +329,61 @@ class FiniteGroup:
 
     def cyclic_masks(self) -> list[int]:
         """For each element index i, the bit-set of <elements[i]>."""
-        if self._cyclic_masks is None:
-            self._walk_cyclic_subgroups()
-        return self._cyclic_masks
-
-    def _walk_cyclic_subgroups(self) -> None:
-        """Fill the element orders and cyclic masks in one walk.
-
-        Each cyclic subgroup <i> is walked once, from its least generator i:
-        in <i> of order k the power i^m has order k / gcd(m, k) and generates
-        <i> iff gcd(m, k) = 1, so every element gets its order and mask from
-        the walk of the subgroup it generates.
-        """
-        n = self.order
-        E, base = self.matrix, self.base.tolist()
-        orders = [1] * n
-        masks = [0] * n
-        masks[0] = 1
-        for i in range(1, n):
-            if masks[i]:
-                continue
-            # i^m is the identity iff it fixes every base point, so the
-            # order k of i is the lcm of the base points' cycle lengths, and
-            # i^m maps b to the point m steps along b's cycle
-            row = E[i]
-            cycles = []
-            for b in base:
-                cycle = [b]
-                c = row.item(b)
-                while c != b:
-                    cycle.append(c)
-                    c = row.item(c)
-                cycles.append(cycle)
-            k = lcm(*map(len, cycles))
-            images = np.array([c * (k // len(c)) for c in cycles]).T
-            powers = self._find(images).tolist()
-            m = self.mask_of(powers)
-            for e in range(1, k):
-                g = gcd(e, k)
-                orders[powers[e]] = k // g
-                if g == 1:
-                    masks[powers[e]] = m
-        self._orders, self._cyclic_masks = orders, masks
+        return self._walk_all(self._masks)
 
     def cyclic_reps(self) -> list[int]:
         """cyclic_reps()[i] = least j with <elements[j]> == <elements[i]>."""
-        if self._cyclic_reps is None:
-            masks = self.cyclic_masks()
-            first: dict[int, int] = {}
-            reps = [0] * self.order
-            for i in range(self.order):
-                reps[i] = first.setdefault(masks[i], i)
-            self._cyclic_reps = reps
-        return self._cyclic_reps
+        self._walk_all(self._masks)
+        return self._reps
+
+    def cyclic_mask(self, i: int) -> int:
+        """Bit-set of <elements[i]>."""
+        if not self._masks[i]:
+            self._walk_cyclic(i)
+        return self._masks[i]
+
+    def cyclic_rep(self, i: int) -> int:
+        """Least j with <elements[j]> == <elements[i]>."""
+        if not self._masks[i]:
+            self._walk_cyclic(i)
+        return self._reps[i]
+
+    def _walk_all(self, known: list[int]) -> list[int]:
+        """Walk <i> for every i, ascending, with ``known[i]`` still 0."""
+        for i in range(self.order):
+            if not known[i]:
+                self._walk_cyclic(i)
+        return known
+
+    def _walk_cyclic(self, i: int) -> None:
+        """Walk the cyclic subgroup <i> (i not the identity): fill the order
+        of each of its elements, and the mask and least generator of each
+        generator of <i>.  In <i> of order k the power i^e has order
+        k / gcd(e, k) and generates <i> iff gcd(e, k) = 1.
+        """
+        # i^e is the identity iff it fixes every base point, so the order k
+        # of i is the lcm of the base points' cycle lengths, and i^e maps b
+        # to the point e steps along b's cycle
+        row, cycles = self.matrix[i], []
+        for b in self.base.tolist():
+            cycle = [b]
+            c = row.item(b)
+            while c != b:
+                cycle.append(c)
+                c = row.item(c)
+            cycles.append(cycle)
+        k = lcm(*map(len, cycles))
+        images = np.array([c * (k // len(c)) for c in cycles]).T
+        powers = self._find(images).tolist()
+        orders, gens = self._orders, []
+        for e, p in enumerate(powers):
+            g = gcd(e, k)
+            orders[p] = k // g
+            if g == 1:
+                gens.append(p)
+        m, least = self.mask_of(powers), min(gens)
+        for p in gens:
+            self._masks[p], self._reps[p] = m, least
 
     # -- centralizers ------------------------------------------------------
 
@@ -447,9 +453,8 @@ class FiniteGroup:
         """Least member of each orbit of <gens>, acting by conjugation, on the
         cyclic subgroups <r> for r in ``reps`` (ascending cyclic_reps() fixed
         points whose subgroups <gens> permutes)."""
-        crep = self.cyclic_reps()
         maps = [
-            dict(zip(reps, (crep[y] for y in self.conjugates(reps, g))))
+            dict(zip(reps, map(self.cyclic_rep, self.conjugates(reps, g))))
             for g in gens
         ]
         seen = bytearray(self.order)
@@ -645,9 +650,8 @@ class SubgroupRef:
 
     def is_cyclic(self) -> bool:
         """True iff some member generates the whole subgroup."""
-        orders = self.parent.element_orders()
-        n = self._order
-        return any(orders[i] == n for i in self.indices())
+        n, order = self._order, self.parent.element_order
+        return any(order(i) == n for i in self.indices())
 
     def is_abelian(self) -> bool:
         gens = self.generating_set()

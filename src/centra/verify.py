@@ -279,9 +279,8 @@ def one_factor_action(p: int, d: int) -> ActionSpec:
 def _quaternion_action() -> ActionSpec:
     """Q8 acting on C3 through its quotient by a cyclic order-4 kernel."""
     D = generalized_quaternion(8)
-    orders = D.element_orders()
-    x0 = next(i for i in range(D.order) if orders[i] == 4)
-    kernel = D.cyclic_masks()[x0]
+    x0 = next(i for i in range(D.order) if D.element_order(i) == 4)
+    kernel = D.cyclic_mask(x0)
     identity = Perm([0, 1, 2])
     inversion = Perm([0, 2, 1])
     images = {}

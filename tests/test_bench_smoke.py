@@ -1,8 +1,12 @@
-"""Smoke test of the benchmark worker: one traced pair-scan pass.
+"""Smoke tests of the benchmark worker: one traced pair-scan pass, and one
+untraced large-perm pass.
 
 The traced pass wraps ``FiniteGroup.closure_mask`` with a one-argument
-counter, so this fails if the classifier passes it anything else.  No
-``--spans`` file is written.
+counter, so it fails if the classifier passes it anything else.  The
+untraced pass runs ``in_class_X`` on fresh groups of order 2448-20160, which
+walk only the cyclic subgroups their scans ask for, and the worker checks
+every verdict and witness independently of centra.  No ``--spans`` file is
+written.
 """
 
 import json
@@ -14,18 +18,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_pair_scan_pass_has_no_failures():
+def _worker_pass(workload: str, mode: str) -> dict:
+    """The worker's JSON line for one pass, which must have no failures."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"),
-         "--workload", "pair-scan", "--mode", "trace"],
+         "--workload", workload, "--mode", mode],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["attempted"] > 0
     assert out["failed"] == 0, out["errors"] + out["problems"]
-    assert out["counts"]["classify.closures"] > 0
+    return out
+
+
+def test_traced_pair_scan_pass_has_no_failures():
+    assert _worker_pass("pair-scan", "trace")["counts"]["classify.closures"] > 0
+
+
+def test_untraced_large_perm_pass_has_no_failures():
+    _worker_pass("large-perm", "pass")

@@ -5,8 +5,8 @@ semidirect products C_n x| C_m (times a small cyclic group), are checked
 against the literal all-subgroups oracles; witnesses are re-verified and
 must generate a minimal non-cyclic group, and verdicts are compared across
 conjugate generating pairs.  The work of the scan (closures and the
-elements they walk) is pinned on three groups, so an algorithmic regression
-fails here without any wall-clock check.
+elements they walk, and the cyclic subgroups it walks) is pinned, so an
+algorithmic regression fails here without any wall-clock check.
 """
 
 from math import gcd
@@ -201,6 +201,29 @@ def test_scan_closure_counts_are_pinned(monkeypatch):
     # dihedral:1024 made 5 635 closures of up to 1 024 elements; now every
     # bounded closure (two reflections, bound 4) walks at most 5
     assert _scan_work("dihedral:1024", monkeypatch) == (6, 1533, 7151, 1)
+
+
+def _cyclic_walks(spec: str) -> tuple[int, int]:
+    """Cyclic subgroups walked by one in_class_X scan of a fresh group, and
+    the group's non-trivial cyclic subgroups (walked by cyclic_masks())."""
+    G = parse_group_spec(spec)
+    walked = []
+    walk = G._walk_cyclic
+    G._walk_cyclic = lambda i: (walked.append(i), walk(i))
+    in_class_X(G)
+    scanned = len(walked)
+    G.cyclic_masks()
+    return scanned, len(walked)
+
+
+def test_scan_cyclic_walk_counts_are_pinned():
+    # the scan asks for orders and least generators only inside the
+    # centralizers it scans; walking every cyclic subgroup first cost
+    # 3 380, 6 973, 2 038 and 78 walks
+    assert _cyclic_walks("psl2:31") == (32, 3380)
+    assert _cyclic_walks("alt:8") == (73, 6973)
+    assert _cyclic_walks("sym:7") == (133, 2038)
+    assert _cyclic_walks("psl2:7") == (9, 78)
 
 
 def test_violation_needing_generators_of_order_four():

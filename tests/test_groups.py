@@ -387,28 +387,46 @@ def test_conjugacy_classes_match_brute_force(name):
     assert G.conjugacy_classes() == sorted(list(c) for c in classes)
 
 
-# fresh groups, so that each test fills the order and mask caches itself
+# fresh groups, so that each test fills the orders and cyclic masks itself:
+# the whole lists in either order, or element by element descending or in a
+# random order, which a walk relying on ascending queries gets wrong
 @pytest.mark.parametrize(
     "name",
     ["dihedral:64", "psl2:7", "sym:5", "abelian:12,36", "dihedral-262",
      "dp:sym:4;dihedral:8", "c2^7-on-1024"],
 )
-@pytest.mark.parametrize("first", ["orders", "masks"])
+@pytest.mark.parametrize("first", ["orders", "masks", "descending", "random"])
 def test_orders_and_cyclic_masks_match_power_loop(name, first):
     G = _fresh_group(name)
-    if first == "orders":
-        orders, masks = G.element_orders(), G.cyclic_masks()
-    else:
-        masks, orders = G.cyclic_masks(), G.element_orders()
-    assert orders == [G.element(i).order() for i in range(G.order)]
     identity = Perm.identity(G.degree)
+    ref_masks = []
     for i in range(G.order):
         g = G.element(i)
         power, mask = g, 1
         while power != identity:
             mask |= 1 << G.index_of(power)
             power = power * g
-        assert masks[i] == mask, i
+        ref_masks.append(mask)
+    least: dict[int, int] = {}
+    ref_reps = [least.setdefault(m, i) for i, m in enumerate(ref_masks)]
+    ref_orders = [G.element(i).order() for i in range(G.order)]
+    if first in ("descending", "random"):
+        queries = list(range(G.order - 1, -1, -1))
+        if first == "random":
+            random.Random(name).shuffle(queries)
+        for i in queries:
+            assert (G.element_order(i), G.cyclic_rep(i), G.cyclic_mask(i)) == (
+                ref_orders[i], ref_reps[i], ref_masks[i]), i
+    if first == "masks":
+        masks, orders = G.cyclic_masks(), G.element_orders()
+    else:
+        orders, masks = G.element_orders(), G.cyclic_masks()
+    assert orders == ref_orders
+    assert masks == ref_masks
+    assert G.cyclic_reps() == ref_reps
+    fresh = _fresh_group(name)
+    assert (fresh.element_orders(), fresh.cyclic_masks(), fresh.cyclic_reps()) == (
+        orders, masks, G.cyclic_reps())
 
 
 @pytest.mark.parametrize("name", sorted(LOOKUP_PATHS))
