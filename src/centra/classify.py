@@ -47,13 +47,16 @@ cuts keep the scan sound:
     y of order q^m), generated by elements of orders (p, p), (4, 4) or
     (p, q^m), and |K| = p^2, 8 or p.q^m.  A pair of other orders, or whose
     closure passes that bound, generates no such K and is skipped.  Within
-    its bound a non-cyclic <a,b> has exactly that order, and is minimal
-    iff: (p, p); or (4, 4) and ab != ba (Q8, not C4 x C2); or (p, q^m) and
-    x of order p commutes with y^q (else <x, y^q> is a smaller non-cyclic
-    group; if so, Z = <y^q> is central and K/Z of order pq is not abelian:
-    if p > q, <x> is normal and K is C_p x| C_{q^m} as listed; if q > p,
-    <y> is, and x, fixing y^q, acts trivially on it unless m = 1, when K
-    is C_q x| C_p).  Only minimal K are taken as witnesses.
+    its bound <a,b> is non-cyclic iff p = q (two distinct cyclic subgroups
+    of one order) or ab != ba (commuting a, b of coprime orders generate
+    the cyclic C_{p^e q^f}).  A non-cyclic <a,b> then has exactly that
+    order, and is minimal iff: (p, p); or (4, 4) and ab != ba (Q8, not
+    C4 x C2); or (p, q^m) and x of order p commutes with y^q (else
+    <x, y^q> is a smaller non-cyclic group; if so, Z = <y^q> is central
+    and K/Z of order pq is not abelian: if p > q, <x> is normal and K is
+    C_p x| C_{q^m} as listed; if q > p, <y> is, and x, fixing y^q, acts
+    trivially on it unless m = 1, when K is C_q x| C_p).  Only minimal K
+    are taken as witnesses.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from functools import cache
 from .constructors import ActionSpec
 from .fields import factorize, is_prime
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupRef, close_generators
-from .lattice import DEFAULT_SUBGROUP_CAP, all_subgroups, maximal_subgroups
+from .lattice import all_subgroups, maximal_subgroups
 from .perms import Perm
 
 METHOD_PAIR = "pair-reduced"
@@ -117,13 +120,13 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
     one of them per W-conjugacy orbit; only minimal non-cyclic <a,b> are
     sought, so only pairs of orders (p, p), (4, 4) or (p, q^m) are closed,
     each only up to p^2, 8 or p.q^m elements (cuts (a)-(c) of the module
-    docstring).  W, or the closure K of a pair, is cyclic iff one of its
-    members has order |W| or |K|, so orders and cyclic subgroups are asked
-    for only inside the centralizers scanned, and the representatives are
-    found once per distinct W (once in all for an abelian G).  On failure
-    the witness is the first violation in (z, orbit-rep a, b) order of this
-    reduced scan, each ascending by element index, so it is deterministic
-    and generates a minimal non-cyclic group.
+    docstring).  W is cyclic iff one of its members has order |W|, so orders
+    and cyclic subgroups are asked for only inside the centralizers scanned,
+    and the representatives are found once per distinct W (once in all for
+    an abelian G).  On failure the witness is the first violation in
+    (z, orbit-rep a, b) order of this reduced scan, each ascending by
+    element index, so it is deterministic and generates a minimal
+    non-cyclic group.
     """
     # (prime, exponent) of a prime-power order, else None; for two of them,
     # |K| of a minimal non-cyclic K they generate (cut (c)), or 0 if none
@@ -163,7 +166,6 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
                 if kmask is None:
                     kmask = memo[key] = G.bounded_closure_mask(key, kbound)
                 if (kmask and not (kmask >> z) & 1
-                        and not SubgroupRef(G, kmask).is_cyclic()
                         and _is_minimal(G, a, b, prime_power)):
                     return MembershipVerdict(
                         member=False,
@@ -176,23 +178,23 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
 
 
 def _is_minimal(G: FiniteGroup, a: int, b: int, prime_power) -> bool:
-    """Whether <a,b>, non-cyclic within its bound of cut (c), is minimal
-    non-cyclic (the test proved there)."""
+    """Whether <a,b>, within its bound of cut (c), is minimal non-cyclic
+    (the test proved there)."""
     (p, e), (q, f) = (prime_power(G.element_order(i)) for i in (a, b))
     if p == q:
         return e == 1 or G.mul(a, b) != G.mul(b, a)
+    if G.mul(a, b) == G.mul(b, a):
+        return False  # <a,b> is cyclic
     x, y = (a, G.power(b, q)) if e == 1 else (b, G.power(a, p))
     return G.mul(x, y) == G.mul(y, x)
 
 
-def in_class_X_bruteforce(
-    G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP
-) -> MembershipVerdict:
+def in_class_X_bruteforce(G: FiniteGroup) -> MembershipVerdict:
     """The literal quantifier: scan every non-cyclic subgroup.
 
     Oracle for in_class_X; requires full subgroup enumeration.
     """
-    for S in all_subgroups(G, cap):
+    for S in all_subgroups(G):
         if S.is_cyclic():
             continue
         cmask = G.centralizer_mask(S.generating_set())
@@ -341,23 +343,23 @@ def two_group_family(G: FiniteGroup) -> str:
     return "other"
 
 
-def is_supersolvable(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> bool:
+def is_supersolvable(G: FiniteGroup) -> bool:
     """Classical criterion: every maximal subgroup has prime index."""
     if G.order == 1:
         return True
     return all(
-        is_prime(G.order // M.order) for M in maximal_subgroups(G, cap)
+        is_prime(G.order // M.order) for M in maximal_subgroups(G)
     )
 
 
-def structure(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> StructureDescriptor:
+def structure(G: FiniteGroup) -> StructureDescriptor:
     ab = G.is_abelian
     return StructureDescriptor(
         order=G.order,
         is_abelian=ab,
         abelian_invariants=abelian_invariants(G) if ab else None,
         nilpotency_class=G.nilpotency_class(),
-        is_supersolvable=is_supersolvable(G, cap),
+        is_supersolvable=is_supersolvable(G),
         two_group_family=two_group_family(G),
         center_order=G.center().order,
     )

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidActionError, InvariantError
-from .fields import FieldSpec, gf, is_prime
+from .fields import MAX_FIELD_SIZE, FieldSpec, factorize, gf, is_prime
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, close_generators
 from .perms import Perm
 
@@ -234,17 +234,13 @@ def psl2(field: FieldSpec | int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGr
 
 
 def _field_from_q(q: int) -> FieldSpec:
-    for p in range(2, q + 1):
-        if is_prime(p):
-            m, v = 0, q
-            while v % p == 0:
-                v //= p
-                m += 1
-            if v == 1 and m >= 1:
-                return gf(p, m)
-            if q % p == 0:
-                break
-    raise ValueError(f"q = {q} is not a prime power")
+    # reject first: factorize trial-divides up to sqrt(q)
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"field too large: q = {q} > {MAX_FIELD_SIZE}")
+    primes = factorize(q)
+    if len(primes) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return gf(*primes[0])
 
 
 def projective_plane_points(p: int) -> list[tuple[int, int, int]]:

@@ -14,13 +14,6 @@ from .errors import InvariantError
 
 MAX_FIELD_SIZE = 4096
 
-# deterministic moduli for the fields the projective constructions rely on
-_BUNDLED_POLYS = {
-    (2, 2): (1, 1, 1),       # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),    # x^3 + x + 1
-    (3, 2): (1, 0, 1),       # x^2 + 1
-}
-
 
 def is_prime(n: int) -> bool:
     return factorize(n) == [(n, 1)]
@@ -100,14 +93,6 @@ class FieldSpec:
         return self.p**self.m
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    @property
     def primitive(self) -> int:
         # the unit group of GF(2) is trivial, generated by 1
         return self.exp_table[1 % (self.q - 1)]
@@ -152,9 +137,6 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no inverse")
         return self.exp_table[(-self.log_table[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             if k == 0:
@@ -193,8 +175,8 @@ def _raw_mul(a: int, b: int, p: int, m: int, irreducible: tuple[int, ...]) -> in
 def gf(p: int, m: int = 1) -> FieldSpec:
     """Construct GF(p^m); p prime, p^m <= 4096.
 
-    Bundled irreducible polynomials cover GF(4), GF(8), GF(9); other
-    extensions search monic polynomials in deterministic order.
+    Extensions take the first irreducible monic polynomial in a
+    deterministic order (low coefficients vary fastest).
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -206,10 +188,6 @@ def gf(p: int, m: int = 1) -> FieldSpec:
 
     if m == 1:
         irreducible = (0, 1)  # x
-    elif (p, m) in _BUNDLED_POLYS:
-        irreducible = _BUNDLED_POLYS[(p, m)]
-        if not _poly_is_irreducible(irreducible, p):
-            raise InvariantError("bundled polynomial is reducible")
     else:
         irreducible = None
         for packed in range(q):

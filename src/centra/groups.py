@@ -19,12 +19,13 @@ index-level operation (products, inverses, conjugation batches,
 right-multiplication columns, commute masks) computes only the base images
 of its results with numpy and finds them in one lookup.
 Closures and orbits are one Python walk, ``_walk``, over index maps
-(``col[x]`` = image of element x): a subgroup is the walk from the identity
-over its seeds' right-multiplication columns, stopped once it passes a
-bound where only small subgroups are wanted; conjugacy classes and normal
-closures walk one conjugation map per generator of G; and the orbits of
-cyclic subgroups walk those maps restricted to the subgroups' least
-generators.
+(``col[x]`` = image of element x), each the lookup result kept as a flat
+int32 buffer (a ``memoryview``, 4 bytes per entry, whose items index as
+Python ints): a subgroup is the walk from the identity over its seeds'
+right-multiplication columns, stopped once it passes a bound where only
+small subgroups are wanted; conjugacy classes and normal closures walk one
+conjugation map per generator of G; and the orbits of cyclic subgroups
+walk those maps restricted to the subgroups' least generators.
 ``Perm`` objects are made only at the boundary, one index at a time with
 ``element(i)``; ``elements`` is a lazily cached tuple of all of them.
 Structural caches (orders, center, conjugacy classes) are filled once on
@@ -124,7 +125,7 @@ class FiniteGroup:
         self._orders = [1] + [0] * (self.order - 1)
         self._masks = [1] + [0] * (self.order - 1)
         self._reps = [0] * self.order
-        self._columns: dict[int, list[int]] = {}
+        self._columns: dict[int, memoryview] = {}
         self._commute_masks: dict[int, int] = {}
         self._center: SubgroupRef | None = None
         self._classes: list[list[int]] | None = None
@@ -138,10 +139,6 @@ class FiniteGroup:
     @property
     def degree(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def identity_index(self) -> int:
-        return 0
 
     def element(self, i: int) -> Perm:
         """The Perm of element index i, made on demand."""
@@ -218,24 +215,18 @@ class FiniteGroup:
             return np.searchsorted(self._keys, _void_keys(images))
         return self._table[np.asarray(images) @ self._weights]
 
-    @cached_property
-    def _ints(self) -> np.ndarray:
-        """The ints 0..order-1 as an object array, so that cached columns
-        share one int object per element instead of each making its own."""
-        return np.array(range(self.order), dtype=object)
-
     def right_mult_indices(self, j: int) -> np.ndarray:
         """Array of the indices of elements[x] * elements[j] over all x;
-        not cached (``right_mult_column`` caches it as a list)."""
+        not cached (``right_mult_column`` caches it as an index map)."""
         E = self.matrix
         # (x * e_j)[b] = x[e_j[b]]
         return self._find(E[:, E[j, self.base]])
 
-    def right_mult_column(self, j: int) -> list[int]:
+    def right_mult_column(self, j: int) -> memoryview:
         """column[x] = index of elements[x] * elements[j]; cached per j."""
         col = self._columns.get(j)
         if col is None:
-            col = self._columns[j] = self._ints[self.right_mult_indices(j)].tolist()
+            col = self._columns[j] = _index_map(self.right_mult_indices(j))
         return col
 
     def mul(self, i: int, j: int) -> int:
@@ -252,14 +243,14 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return int(self._find(self._inverse_row(i)[self.base]))
 
-    def conjugates(self, xs: Sequence[int], g: int) -> list[int]:
-        """Indices of g^-1 * x * g for each index x in ``xs``, in one batch;
-        the ints are the shared ``_ints``, as in ``right_mult_column``."""
+    def conjugates(self, xs: Sequence[int], g: int) -> memoryview:
+        """Indices of g^-1 * x * g for each index x in ``xs``, in one batch,
+        as an index map."""
         E = self.matrix
         # (g^-1 * x * g)[b] = g^-1[x[g[b]]]
         rows = np.asarray(xs, dtype=np.intp).reshape(-1, 1)
         found = self._find(self._inverse_row(g)[E[rows, E[g, self.base]]])
-        return self._ints[found.reshape(-1)].tolist()
+        return _index_map(found)
 
     def conj(self, i: int, g: int) -> int:
         """Index of elements[i]^elements[g] = g^-1 * x * g."""
@@ -429,7 +420,7 @@ class FiniteGroup:
 
     # -- conjugacy ---------------------------------------------------------
 
-    def _conjugation_maps(self) -> list[list[int]]:
+    def _conjugation_maps(self) -> list[memoryview]:
         """map[x] = index of g^-1 * x * g, one map per generator g of G."""
         everything = range(self.order)
         return [self.conjugates(everything, g) for g in self.generator_indices()]
@@ -462,9 +453,6 @@ class FiniteGroup:
 
     # -- generated structure ------------------------------------------------
 
-    def subgroup(self, mask: int) -> "SubgroupRef":
-        return SubgroupRef(self, mask)
-
     def full_subgroup(self) -> "SubgroupRef":
         return SubgroupRef(self, self.full_mask)
 
@@ -478,12 +466,17 @@ class FiniteGroup:
         """Smallest normal subgroup containing the given elements."""
         seen = bytearray(self.order)
         conjugates = _walk(self._conjugation_maps(), self._indices(seed), seen)
-        gens, mask = [], 1  # only a few conjugates build a column
-        for c in sorted(conjugates):
-            if not (mask >> c) & 1:
-                gens.append(c)
-                mask = self.closure_mask(gens)
-        return SubgroupRef(self, mask)
+        return SubgroupRef(self, self._greedy_closure(self.mask_of(conjugates))[1])
+
+    def _greedy_closure(self, candidates: int) -> tuple[list[int], int]:
+        """Generators and bit-set of the subgroup that the bit-set
+        ``candidates`` generates: add the least candidate not yet inside and
+        close again, so only the generators kept build a column."""
+        gens, mask = [], 1
+        while rest := candidates & ~mask:
+            gens.append((rest & -rest).bit_length() - 1)
+            mask = self.closure_mask(gens)
+        return gens, mask
 
     def commutator_subgroup(self, A: "SubgroupRef", B: "SubgroupRef") -> "SubgroupRef":
         """[A, B] for subgroups of this group (normal closure of [a, b])."""
@@ -562,6 +555,13 @@ def _walk(maps, starts: Iterable[int], seen: bytearray,
     return out
 
 
+def _index_map(found: np.ndarray) -> memoryview:
+    """A lookup result as an index map: a flat int32 buffer whose items
+    index as Python ints (numpy scalars index slower, and overflow in
+    ``1 << i``)."""
+    return memoryview(np.ascontiguousarray(found, dtype=np.int32).reshape(-1))
+
+
 def _void_keys(images) -> np.ndarray:
     """One opaque key per image row, ordered as the rows (big-endian bytes)."""
     rows = np.ascontiguousarray(images, dtype=">i4")
@@ -635,15 +635,7 @@ class SubgroupRef:
         """A small generating set, chosen greedily by least element index."""
         if self._order == 1:
             return [0]
-        gens: list[int] = []
-        closed = 1
-        remaining = self.mask & ~1
-        while closed != self.mask:
-            low = remaining & ~closed
-            i = (low & -low).bit_length() - 1
-            gens.append(i)
-            closed = self.parent.closure_mask(gens)
-        return gens
+        return self.parent._greedy_closure(self.mask)[0]
 
     def generators(self) -> list[Perm]:
         return [self.parent.element(i) for i in self.generating_set()]
@@ -668,9 +660,3 @@ class SubgroupRef:
     def conjugate_mask(self, g: int) -> int:
         """Bit-set of self^g."""
         return self.parent.mask_of(self.parent.conjugates(self.indices(), g))
-
-    def is_normal(self) -> bool:
-        return all(
-            self.conjugate_mask(g) == self.mask
-            for g in self.parent.generator_indices()
-        )

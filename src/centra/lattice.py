@@ -50,12 +50,10 @@ def _sorted_items(parent: FiniteGroup, masks) -> list[SubgroupRef]:
     ]
 
 
-def all_subgroups(
-    G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP
-) -> SubgroupList:
+def all_subgroups(G: FiniteGroup) -> SubgroupList:
     """Every subgroup of G, for |G| up to the brute-force cap."""
-    if G.order > cap:
-        raise SubgroupCapError(G.order, cap)
+    if G.order > DEFAULT_SUBGROUP_CAP:
+        raise SubgroupCapError(G.order, DEFAULT_SUBGROUP_CAP)
     cyc_masks = G.cyclic_masks()
     reps = G.cyclic_reps()
     rep_indices = sorted(i for i in range(G.order) if reps[i] == i and i != 0)
@@ -88,16 +86,9 @@ def all_subgroups(
     return SubgroupList(G, _sorted_items(G, known.keys()))
 
 
-def is_cyclic(S: SubgroupRef) -> bool:
-    """True iff some member of S generates all of S."""
-    return S.is_cyclic()
-
-
-def maximal_subgroups(
-    G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP
-) -> SubgroupList:
+def maximal_subgroups(G: FiniteGroup) -> SubgroupList:
     """Proper subgroups maximal under inclusion."""
-    subs = all_subgroups(G, cap)
+    subs = all_subgroups(G)
     proper = [s for s in subs if s.order < G.order]
     maximal = []
     for s in proper:

@@ -44,21 +44,6 @@ from .lattice import all_subgroups, normalizer, sylow_subgroup
 from .perms import Perm, parse_cycles
 from .presentations import parse_presentation, realize
 
-THEOREM_IDS = (
-    "class-C-finite",
-    "lemma-family",
-    "t-abelian",
-    "t-finitep",
-    "p-dihedral",
-    "t-finitesimple",
-    "t-ncsupersoluble",
-    "t-csupersoluble",
-    "examples",
-    "exclusion-witnesses",
-    "psl2-normalizer",
-)
-
-
 @dataclass
 class TheoremReport:
     instance: str
@@ -670,6 +655,7 @@ _SWEEPS = {
     "exclusion-witnesses": _sweep_exclusion_witnesses,
     "psl2-normalizer": _sweep_psl2_normalizer,
 }
+THEOREM_IDS = tuple(_SWEEPS)
 
 
 def sweep(theorem_id: str) -> list[Instance]:

@@ -138,6 +138,28 @@ def test_psl2_simple_for_small_q():
         assert is_simple(psl2(q))
 
 
+def test_psl2_rejects_a_large_field_before_factorizing(monkeypatch):
+    import centra.constructors as constructors
+    import centra.fields as fields
+
+    def guarded(f):
+        def check(n):
+            if n > fields.MAX_FIELD_SIZE:
+                pytest.fail(f"{f.__name__}({n}) was called")
+            return f(n)
+        return check
+
+    for module in (constructors, fields):
+        for name in ("factorize", "is_prime"):
+            monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    for q in (1000003, 4099, 4097):  # primes, and 17 * 241
+        with pytest.raises(ValueError, match="field too large"):
+            parse_group_spec(f"psl2:{q}")
+    with pytest.raises(ValueError, match="not a prime power"):
+        psl2(12)
+    assert psl2(8).order == 504
+
+
 def test_psl3_small():
     G2 = psl3(2)
     assert G2.order == 168

@@ -371,7 +371,14 @@ def test_index_arithmetic_matches_perm_arithmetic(name):
         assert [el[y] for y in G.conjugates(xs, g)] == [
             el[x].conjugate_by(el[g]) for x in xs
         ]
-    assert G.conjugates([], 0) == []
+    assert list(G.conjugates([], 0)) == []
+    # conjugate_mask sets bit i for each conjugate; the orders of sym:5 and
+    # dihedral-262 exceed 64, so bits past a fixed-width int show up too
+    for _ in range(3):
+        S = G.generated_subgroup(rng.sample(range(G.order), 2))
+        g = rng.randrange(G.order)
+        expected = {G.index_of(el[x].conjugate_by(el[g])) for x in S.indices()}
+        assert S.conjugate_mask(g) == G.mask_of(expected)
 
 
 # the brute force takes seconds on the order-262 group and on degree 1024
@@ -490,14 +497,20 @@ def test_commute_mask_matches_full_rows(name):
         assert G.commute_mask(i) == G.mask_of(np.flatnonzero(flags).tolist()), i
 
 
-def test_cached_columns_share_int_objects():
+def test_index_maps_are_int32_buffers_of_python_ints():
     from centra.constructors import parse_group_spec
 
-    G = parse_group_spec("sym:6")  # indices above 256, which Python does not intern
-    a, b = G.right_mult_column(1), G.right_mult_column(2)
-    assert sorted(a) == sorted(b) == list(range(G.order))
-    where = {y: x for x, y in enumerate(b)}
-    assert all(y is b[where[y]] for y in a)
+    G = parse_group_spec("sym:6")  # indices above 256
+    el, j, g = G.elements, 417, 300
+    col = G.right_mult_column(j)
+    conj = G.conjugates(range(G.order), g)
+    assert G.right_mult_column(j) is col
+    for m in (col, conj):
+        assert m.itemsize == 4 and len(m) == G.order
+        assert {type(y) for y in m} == {int}
+    assert list(col) == G.right_mult_indices(j).tolist()
+    assert list(col) == [G.index_of(x * el[j]) for x in el]
+    assert list(conj) == [G.index_of(x.conjugate_by(el[g])) for x in el]
 
 
 def _perm_closure(seed, identity):

@@ -15,7 +15,6 @@ from centra.errors import SubgroupCapError
 from centra.groups import close_generators
 from centra.lattice import (
     all_subgroups,
-    is_cyclic,
     maximal_subgroups,
     minimal_normal_subgroups,
     normalizer,
@@ -94,11 +93,11 @@ def test_is_cyclic():
     subs = all_subgroups(G)
     for S in subs:
         if S.order in (1, 2):
-            assert is_cyclic(S)
-    kleins = [S for S in subs if S.order == 4 and not is_cyclic(S)]
+            assert S.is_cyclic()
+    kleins = [S for S in subs if S.order == 4 and not S.is_cyclic()]
     assert len(kleins) == 2  # D8 has two Klein four-subgroups
     six = close_generators([parse_cycles("(1,2,3,4,5,6)", 6)])
-    assert is_cyclic(six.full_subgroup())
+    assert six.full_subgroup().is_cyclic()
 
 
 def test_maximal_subgroups():

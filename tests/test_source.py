@@ -32,34 +32,55 @@ def test_assertion_error_check_finds_both_forms():
     assert [_raises_assertion_error(n) for n in tree.body] == [True, True, False]
 
 
-def _unreferenced_private_functions(trees: dict) -> list[str]:
-    """Private functions and methods (``_name``, not dunder) whose name is
-    used nowhere outside their own body, as a name or an attribute."""
+def _names(node) -> Counter:
+    """How often each name is used in ``node``, as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
 
-    def names(node):
-        return Counter(
-            n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))
-        )
 
-    used = sum((names(tree) for tree in trees.values()), Counter())
+def _unreferenced_functions(trees: dict, private: bool, used: Counter) -> list[str]:
+    """Private (``_name``, not dunder) or public functions and methods of
+    ``trees`` whose name ``used`` holds no more often than their own body."""
     return [
         f"{label}:{node.name}"
         for label, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") == private
         and not node.name.endswith("__")
-        and used[node.name] <= names(node)[node.name]
+        and used[node.name] <= _names(node)[node.name]
     ]
+
+
+def _parse(paths) -> dict:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
+def _used(trees: dict) -> Counter:
+    return sum((_names(tree) for tree in trees.values()), Counter())
 
 
 def test_every_private_helper_is_used():
     # a helper left behind by a refactor is dead code; every private
     # function or method must be referenced from somewhere else in centra
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _unreferenced_private_functions(trees) == []
+    trees = _parse(SOURCES)
+    assert _unreferenced_functions(trees, True, _used(trees)) == []
+
+
+def test_every_public_function_is_used():
+    # API that nothing calls is dead code too: every public function or
+    # method of centra must be referenced from centra, its tests or its bench
+    repo = Path(__file__).resolve().parents[1]
+    callers = [*repo.glob("tests/*.py"), *repo.glob("perfbench/*.py")]
+    assert len(callers) > 5
+    trees = _parse(SOURCES)
+    used = _used(trees) + sum(
+        (_names(ast.parse(p.read_text(), str(p))) for p in callers), Counter()
+    )
+    assert _unreferenced_functions(trees, False, used) == []
 
 
 def test_private_helper_check_finds_dead_helpers():
@@ -70,6 +91,14 @@ def test_private_helper_check_finds_dead_helpers():
         "    def _dead(self):\n        return self._used_method()\n"
         "    def _used_method(self):\n        return _used()\n"
         "    def __repr__(self):\n        return ''\n"
+        "def public(n):\n    return public(n - 1)\n"
+        "def called_elsewhere():\n    return 1\n"
     )
     trees = {"m.py": ast.parse(source)}
-    assert _unreferenced_private_functions(trees) == ["m.py:_recursive", "m.py:_dead"]
+    used = _used(trees)
+    assert _unreferenced_functions(trees, True, used) == [
+        "m.py:_recursive", "m.py:_dead"]
+    assert _unreferenced_functions(trees, False, used) == [
+        "m.py:public", "m.py:called_elsewhere"]
+    used += _names(ast.parse("m.called_elsewhere()"))
+    assert _unreferenced_functions(trees, False, used) == ["m.py:public"]
