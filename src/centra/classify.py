@@ -66,7 +66,7 @@ from functools import cache
 
 from .constructors import ActionSpec
 from .fields import factorize, is_prime
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupRef, close_generators
+from .groups import FiniteGroup, SubgroupRef, close_generators
 from .lattice import all_subgroups, maximal_subgroups
 from .perms import Perm
 
@@ -423,7 +423,6 @@ class CertificateResult:
 def certify_non_membership(
     ambient_label: str,
     gens: list[Perm],
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> CertificateResult:
     """Certify an ambient group out of class X from a small subgroup.
 
@@ -432,7 +431,7 @@ def certify_non_membership(
     triple of ambient-degree permutations, hence directly re-checkable in
     the ambient group.  If K is in the class the attempt is inconclusive.
     """
-    K = close_generators(gens, order_cap)
+    K = close_generators(gens)
     inner = in_class_X(K)
     if inner.member:
         return CertificateResult(ambient_label, False, K.order, None)

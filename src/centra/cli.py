@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import classify
@@ -106,10 +107,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         G = parse_group_spec(args.spec, base_dir=Path.cwd(), order_cap=args.order_cap)
         subs = all_subgroups(G)
         if args.count:
+            by_order = Counter(S.order for S in subs)
             payload = {
                 "order": G.order,
                 "subgroups": len(subs),
-                "by_order": {str(k): v for k, v in subs.by_order().items()},
+                "by_order": {str(k): v for k, v in sorted(by_order.items())},
             }
         else:
             payload = {

@@ -425,7 +425,8 @@ def _check_automorphism(N: FiniteGroup, img: Perm, label) -> None:
     im = np.array(img.images)
     for g in N.generator_indices():
         # im[x * g] against im[x] * im[g], over every x at once
-        by_g, by_img = N.right_mult_indices(g), N.right_mult_indices(im[g])
+        by_g = np.asarray(N.right_mult_column(g))
+        by_img = np.asarray(N.right_mult_column(img.images[g]))
         if not np.array_equal(im[by_g], by_img[im]):
             raise InvalidActionError(
                 f"image for generator {label} is not an automorphism"
@@ -461,8 +462,7 @@ def semidirect(spec: ActionSpec,
     return _of_order(close_generators(gens, order_cap), N.order * H.order)
 
 
-def regular_representation(mul_table: Sequence[Sequence[int]],
-                           order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def regular_representation(mul_table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Faithful action of a multiplication-table group on its own elements.
 
     Each element g becomes the permutation x -> g*x; left multiplication
@@ -494,7 +494,7 @@ def regular_representation(mul_table: Sequence[Sequence[int]],
                         nxt.append(y)
             frontier = nxt
     perms = [Perm(mul_table[g]) for g in gens] or [Perm(range(n))]
-    G = close_generators(perms, order_cap)
+    G = close_generators(perms)
     if G.order != n:
         raise ValueError("multiplication table does not describe a group")
     return G

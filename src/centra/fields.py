@@ -97,9 +97,6 @@ class FieldSpec:
         # the unit group of GF(2) is trivial, generated by 1
         return self.exp_table[1 % (self.q - 1)]
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def _digits(self, a: int) -> list[int]:
         out = []
         for _ in range(self.m):
@@ -123,9 +120,6 @@ class FieldSpec:
         if self.m == 1:
             return (-a) % self.p
         return self._pack([-d for d in self._digits(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -28,10 +28,12 @@ conjugation map per generator of G; and the orbits of cyclic subgroups
 walk those maps restricted to the subgroups' least generators.
 ``Perm`` objects are made only at the boundary, one index at a time with
 ``element(i)``; ``elements`` is a lazily cached tuple of all of them.
-Structural caches (orders, center, conjugacy classes) are filled once on
-demand.  Each cyclic subgroup is walked only when an order, cyclic mask or
-least generator of one of its elements is first asked for, so a scan that
-reads a few centralizers walks only their cyclic subgroups.  x^m is the
+A group keeps only its right-multiplication columns and the per-element
+cyclic facts (order, cyclic mask, least generator); centers, centralizers
+and conjugacy classes are computed again on each call.  Each cyclic
+subgroup is walked only when an order, cyclic mask or least generator of
+one of its elements is first asked for, so a scan that reads a few
+centralizers walks only their cyclic subgroups.  x^m is the
 identity iff it fixes B, so a walk finds the order of x as the lcm of the
 cycle lengths of the base points, and all its powers from their base
 images in one lookup.
@@ -126,9 +128,6 @@ class FiniteGroup:
         self._masks = [1] + [0] * (self.order - 1)
         self._reps = [0] * self.order
         self._columns: dict[int, memoryview] = {}
-        self._commute_masks: dict[int, int] = {}
-        self._center: SubgroupRef | None = None
-        self._classes: list[list[int]] | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -215,18 +214,13 @@ class FiniteGroup:
             return np.searchsorted(self._keys, _void_keys(images))
         return self._table[np.asarray(images) @ self._weights]
 
-    def right_mult_indices(self, j: int) -> np.ndarray:
-        """Array of the indices of elements[x] * elements[j] over all x;
-        not cached (``right_mult_column`` caches it as an index map)."""
-        E = self.matrix
-        # (x * e_j)[b] = x[e_j[b]]
-        return self._find(E[:, E[j, self.base]])
-
     def right_mult_column(self, j: int) -> memoryview:
         """column[x] = index of elements[x] * elements[j]; cached per j."""
         col = self._columns.get(j)
         if col is None:
-            col = self._columns[j] = _index_map(self.right_mult_indices(j))
+            E = self.matrix
+            # (x * e_j)[b] = x[e_j[b]]
+            col = self._columns[j] = _index_map(self._find(E[:, E[j, self.base]]))
         return col
 
     def mul(self, i: int, j: int) -> int:
@@ -380,18 +374,13 @@ class FiniteGroup:
 
     def commute_mask(self, i: int) -> int:
         """Bit-set of all elements commuting with elements[i]."""
-        cached = self._commute_masks.get(i)
-        if cached is not None:
-            return cached
         E, base = self.matrix, self.base
         zi = E[i]
         # z * g and g * z are elements, so they are equal iff they agree on
         # the base: z[g[b]] against g[z[b]]
         flags = np.all(zi[E[:, base]] == E[:, zi[base]], axis=1)
         packed = np.packbits(flags, bitorder="little")
-        mask = int.from_bytes(packed.tobytes(), "little")
-        self._commute_masks[i] = mask
-        return mask
+        return int.from_bytes(packed.tobytes(), "little")
 
     def centralizer_mask(self, indices: Iterable[int]) -> int:
         mask = self.full_mask
@@ -414,9 +403,7 @@ class FiniteGroup:
         return SubgroupRef(self, self.centralizer_mask(indices))
 
     def center(self) -> "SubgroupRef":
-        if self._center is None:
-            self._center = self.centralizer(self.generators)
-        return self._center
+        return self.centralizer(self.generators)
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -427,18 +414,19 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Orbits of conjugation, each sorted, listed by least representative."""
-        if self._classes is None:
-            maps = self._conjugation_maps()
-            seen = bytearray(self.order)
-            self._classes = [
-                sorted(_walk(maps, [x], seen))
-                for x in range(self.order)
-                if not seen[x]
-            ]
-        return self._classes
+        maps = self._conjugation_maps()
+        seen = bytearray(self.order)
+        return [
+            sorted(_walk(maps, [x], seen))
+            for x in range(self.order)
+            if not seen[x]
+        ]
 
     def class_representatives(self) -> list[int]:
-        return [c[0] for c in self.conjugacy_classes()]
+        """Least element of each conjugacy class, ascending."""
+        maps = self._conjugation_maps()
+        seen = bytearray(self.order)
+        return [x for x in range(self.order) if not seen[x] and _walk(maps, [x], seen)]
 
     def cyclic_orbit_reps(self, reps: list[int], gens: list[int]) -> list[int]:
         """Least member of each orbit of <gens>, acting by conjugation, on the
@@ -603,9 +591,6 @@ class SubgroupRef:
 
     def indices(self) -> list[int]:
         return FiniteGroup.mask_indices(self.mask)
-
-    def elements(self) -> list[Perm]:
-        return [self.parent.element(i) for i in self.indices()]
 
     def contains_index(self, i: int) -> bool:
         return bool((self.mask >> i) & 1)

@@ -8,39 +8,11 @@ then bit-set), so identical runs produce identical lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvariantError, SubgroupCapError
 from .fields import is_prime
 from .groups import FiniteGroup, SubgroupRef
 
 DEFAULT_SUBGROUP_CAP = 2000
-
-
-@dataclass
-class SubgroupList:
-    """All subgroups found for a parent group, deduplicated and sorted."""
-
-    parent: FiniteGroup
-    items: list[SubgroupRef] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __getitem__(self, i: int) -> SubgroupRef:
-        return self.items[i]
-
-    def orders(self) -> list[int]:
-        return [s.order for s in self.items]
-
-    def by_order(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for s in self.items:
-            counts[s.order] = counts.get(s.order, 0) + 1
-        return dict(sorted(counts.items()))
 
 
 def _sorted_items(parent: FiniteGroup, masks) -> list[SubgroupRef]:
@@ -50,7 +22,7 @@ def _sorted_items(parent: FiniteGroup, masks) -> list[SubgroupRef]:
     ]
 
 
-def all_subgroups(G: FiniteGroup) -> SubgroupList:
+def all_subgroups(G: FiniteGroup) -> list[SubgroupRef]:
     """Every subgroup of G, for |G| up to the brute-force cap."""
     if G.order > DEFAULT_SUBGROUP_CAP:
         raise SubgroupCapError(G.order, DEFAULT_SUBGROUP_CAP)
@@ -66,7 +38,6 @@ def all_subgroups(G: FiniteGroup) -> SubgroupList:
             known[m] = [i]
             worklist.append(m)
 
-    attempted: set[tuple[int, int]] = set()
     pos = 0
     while pos < len(worklist):
         mask = worklist[pos]
@@ -75,18 +46,14 @@ def all_subgroups(G: FiniteGroup) -> SubgroupList:
         for i in rep_indices:
             if (mask >> i) & 1:
                 continue
-            key = (mask, i)
-            if key in attempted:
-                continue
-            attempted.add(key)
             new_mask = G.closure_mask(gens + [i])
             if new_mask not in known:
                 known[new_mask] = gens + [i]
                 worklist.append(new_mask)
-    return SubgroupList(G, _sorted_items(G, known.keys()))
+    return _sorted_items(G, known.keys())
 
 
-def maximal_subgroups(G: FiniteGroup) -> SubgroupList:
+def maximal_subgroups(G: FiniteGroup) -> list[SubgroupRef]:
     """Proper subgroups maximal under inclusion."""
     subs = all_subgroups(G)
     proper = [s for s in subs if s.order < G.order]
@@ -96,7 +63,7 @@ def maximal_subgroups(G: FiniteGroup) -> SubgroupList:
             t.order > s.order and (s.mask & t.mask) == s.mask for t in proper
         ):
             maximal.append(s)
-    return SubgroupList(G, maximal)
+    return maximal
 
 
 def normalizer(G: FiniteGroup, S: SubgroupRef) -> SubgroupRef:
@@ -163,7 +130,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupRef:
     return SubgroupRef(G, best)
 
 
-def minimal_normal_subgroups(G: FiniteGroup) -> SubgroupList:
+def minimal_normal_subgroups(G: FiniteGroup) -> list[SubgroupRef]:
     """Minimal non-trivial normal subgroups.
 
     Candidates are normal closures of single conjugacy-class
@@ -180,4 +147,4 @@ def minimal_normal_subgroups(G: FiniteGroup) -> SubgroupList:
     for m in candidates:
         if not any(o != m and (o & m) == o for o in candidates):
             minimal.append(m)
-    return SubgroupList(G, _sorted_items(G, minimal))
+    return _sorted_items(G, minimal)

@@ -394,6 +394,12 @@ def test_conjugacy_classes_match_brute_force(name):
     assert G.conjugacy_classes() == sorted(list(c) for c in classes)
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_class_representatives_are_least_class_members(name):
+    G = REFERENCE_GROUPS[name]
+    assert G.class_representatives() == [c[0] for c in G.conjugacy_classes()]
+
+
 # fresh groups, so that each test fills the orders and cyclic masks itself:
 # the whole lists in either order, or element by element descending or in a
 # random order, which a walk relying on ascending queries gets wrong
@@ -508,7 +514,6 @@ def test_index_maps_are_int32_buffers_of_python_ints():
     for m in (col, conj):
         assert m.itemsize == 4 and len(m) == G.order
         assert {type(y) for y in m} == {int}
-    assert list(col) == G.right_mult_indices(j).tolist()
     assert list(col) == [G.index_of(x * el[j]) for x in el]
     assert list(conj) == [G.index_of(x.conjugate_by(el[g])) for x in el]
 

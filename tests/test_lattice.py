@@ -8,6 +8,7 @@ from centra.constructors import (
     cyclic,
     dihedral,
     generalized_quaternion,
+    parse_group_spec,
     psl2,
     symmetric,
 )
@@ -63,7 +64,7 @@ def test_cyclic_subgroup_count_equals_divisor_count():
 def test_subgroup_list_contains_trivial_and_parent():
     G = symmetric(4)
     subs = all_subgroups(G)
-    orders = subs.orders()
+    orders = [S.order for S in subs]
     assert orders[0] == 1
     assert orders[-1] == 24
     assert len(subs) == 30  # S4 has 30 subgroups
@@ -71,6 +72,17 @@ def test_subgroup_list_contains_trivial_and_parent():
     for S in subs:
         idx = S.indices()
         assert all(S.contains_index(G.mul(i, j)) for i in idx for j in idx)
+
+
+@pytest.mark.parametrize("spec, closures", [("sym:4", 392), ("dihedral:24", 467)])
+def test_all_subgroups_closure_count_is_pinned(spec, closures):
+    # each known subgroup is extended once by each cyclic representative
+    # outside it, so no (subgroup, representative) pair is closed twice
+    G = parse_group_spec(spec)
+    calls, closure = [], G.closure_mask
+    G.closure_mask = lambda seed: calls.append(seed) or closure(seed)
+    all_subgroups(G)
+    assert len(calls) == closures
 
 
 def test_all_subgroups_deterministic():
