@@ -58,6 +58,17 @@ class EnumerationInconclusiveError(CentraError):
         self.defined = defined
 
 
+class BudgetError(CentraError):
+    """Work was refused before it started: it would need more than a fixed
+    budget, such as element storage or total relator length."""
+
+    def __init__(self, budget: str, needed: int, limit: int):
+        super().__init__(f"{budget} exceeded: {needed} needed, limit {limit}")
+        self.budget = budget
+        self.needed = needed
+        self.limit = limit
+
+
 class InvalidActionError(CentraError):
     """Semidirect-product data does not define a homomorphism into Aut(N)."""
 

@@ -52,6 +52,13 @@ from .errors import DegreeMismatchError, GroupTooLargeError, InvariantError
 from .perms import Perm
 
 DEFAULT_ORDER_CAP = 200_000
+# bytes an element matrix (elements x degree x 4) may take.  The largest
+# matrix that the corpus, the bundled manifest and the benchmark build is the
+# regular representation of C2000 from a presentation, 2000 x 2000 x 4 B =
+# 16 MB (next is a regular semidirect product of order 1029 in the manifest,
+# 4.2 MB).  256 MiB leaves 16 times that, and admits regular representations
+# up to order 8192.
+ELEMENT_STORAGE_BUDGET = 1 << 28
 # keys are looked up in a dense int32 table while it takes at most this many
 # times the memory of the element matrix, else by binary search on the sorted
 # base images.  Measured on sym:8, alt:8 and psl3:3, the table finds a column

@@ -18,25 +18,38 @@ standard conventions
     A: [x,y] = x y x^-1 y^-1        B: [x,y] = x^-1 y^-1 x y
 
 give different groups; ``realize`` can run both and pick whichever matches
-an expected-order hint.
+an expected-order hint.  Where B's relators are A's up to cyclic rotation
+or inversion, the groups are equal and one enumeration serves both.  The
+total relator length is computed from the word trees and bounded by the
+coset limit before any relator is expanded.
 
 Enumeration is HLT-style over the trivial subgroup: scan relators, define
-cosets to fill gaps, process coincidences through a union-find queue.  A
-closed table gives the regular representation, so the live-coset count is
-the group order.
+cosets to fill gaps, process coincidences through a union-find queue.
+With lookahead: once every live row from the current coset up is defined,
+each relator is traced from all those cosets at once with numpy, and the
+scans of the (relator, coset) pairs that already close are skipped.  They
+would change nothing, so the table is exactly that of plain HLT.
+A closed table gives the regular representation, so the live-coset count is
+the group order; ``group_from_table`` reads its rows straight off the table,
+the row of the element sending coset 0 to coset k at index k, which is
+already the canonical order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
+
 from .errors import (
+    BudgetError,
     EnumerationInconclusiveError,
     GroupTooLargeError,
     InvariantError,
     PresentationSyntaxError,
 )
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, close_generators
+from .groups import DEFAULT_ORDER_CAP, ELEMENT_STORAGE_BUDGET, FiniteGroup
 from .perms import Perm
 
 DEFAULT_MAX_COSETS = 1_000_000
@@ -76,8 +89,35 @@ def _flatten(node, convention: str) -> list[int]:
     raise InvariantError(f"unknown node {node!r}")
 
 
+def _length(node) -> int:
+    """Letters in ``node`` flattened, before cancellation; the same under
+    both conventions."""
+    kind = node[0]
+    if kind == "gen":
+        return 1
+    if kind == "one":
+        return 0
+    if kind == "cat":
+        return sum(_length(child) for child in node[1])
+    if kind == "pow":
+        return _length(node[1]) * abs(node[2])
+    if kind == "comm":
+        return 2 * (_length(node[1]) + _length(node[2]))
+    raise InvariantError(f"unknown node {node!r}")
+
+
 def _invert(word: list[int]) -> list[int]:
     return [-g for g in reversed(word)]
+
+
+def _same_closure(u: list[int], v: list[int]) -> bool:
+    """Whether v is a cyclic rotation of u or of u^-1, so that the two
+    relators have the same normal closure."""
+    if len(u) != len(v):
+        return False
+    needle = "," + "".join(f"{g}," for g in v)
+    return any(needle in "," + "".join(f"{g}," for g in w) * 2
+               for w in (u, _invert(u)))
 
 
 def _cancel_adjacent(word: list[int]) -> list[int]:
@@ -100,6 +140,13 @@ class Presentation:
     @property
     def num_generators(self) -> int:
         return len(self.generators)
+
+    def check_length(self, max_letters: int) -> None:
+        """Raise BudgetError if the flattened relators would hold more than
+        ``max_letters`` letters in all, without expanding any of them."""
+        total = sum(_length(lhs) + _length(rhs) for lhs, rhs, _ in self.relations)
+        if total > max_letters:
+            raise BudgetError("relator length bound (letters)", total, max_letters)
 
     def relators(self, convention: str) -> list[list[int]]:
         """Flattened relators w_lhs * w_rhs^-1 under the given convention."""
@@ -451,19 +498,51 @@ def todd_coxeter(
     convention: str,
     max_cosets: int = DEFAULT_MAX_COSETS,
 ) -> CosetTable:
-    """Relator-scanning enumeration over the trivial subgroup.
+    """HLT enumeration over the trivial subgroup, with lookahead.
 
-    Returns a closed table.  Raises EnumerationInconclusiveError at the
-    coset limit (not a proof of infinitude); total collapse to one coset is
-    a valid result describing the trivial group.
+    Each live coset alpha in turn is scanned with every relator, then its
+    row is filled by definitions.  A gap pointer, which only moves forward,
+    finds the first live coset from alpha up with an undefined entry, so
+    the test costs O(cosets x columns) over the whole run.  When there is
+    none, every live row is complete (rows below alpha were filled in their
+    turn), and each relator is traced from all live cosets from alpha up at
+    once, with numpy gathers over the columns.  The scalar scan is then
+    skipped for each (relator, coset) pair found closed.  Skipping is
+    exact: a closed scan neither defines nor deduces anything, and
+    coincidence processing maps a closed path to a closed path, so the pair
+    stays closed.  So the definition order, ``p`` and ``cols`` are those of
+    plain HLT.  If every pair closes, the steps left would change nothing
+    and the loop stops; otherwise the next lookahead waits until new cosets
+    have been defined.
+
+    Raises BudgetError before expanding any relator if they hold more than
+    ``max_cosets`` letters in all.  Returns a closed table.  Raises
+    EnumerationInconclusiveError at the coset limit (not a proof of
+    infinitude); total collapse to one coset is a valid result describing
+    the trivial group.
     """
+    pres.check_length(max_cosets)
     ct = CosetTable(pres.num_generators, max_cosets)
     relators = [ct.compile(word) for word in pres.relators(convention)]
     p, cols = ct.p, ct.cols
+    closed = [bytearray() for _ in relators]  # closed[r][k]: r closes at k
+    traced = 0  # cosets defined at the last lookahead
+    gap = 0
     alpha = 0
     while alpha < len(p):
         if p[alpha] == alpha:
-            for rel in relators:
+            n = len(p)
+            gap = max(gap, alpha)
+            while gap < n and (p[gap] != gap or min(c[gap] for c in cols) >= 0):
+                gap += 1
+            if gap == n > traced:
+                closed, finished = _closed_pairs(ct, relators, alpha)
+                if finished:
+                    break
+                traced = n
+            for rel, done in zip(relators, closed):
+                if alpha < len(done) and done[alpha]:
+                    continue
                 ct.scan_and_fill(alpha, rel)
                 if p[alpha] != alpha:
                     break
@@ -475,6 +554,36 @@ def todd_coxeter(
     if not ct.is_closed():
         raise InvariantError("coset table is not closed after enumeration")
     return ct
+
+
+def _closed_pairs(
+    ct: CosetTable, relators: list, start: int
+) -> tuple[list[bytearray], bool]:
+    """Per relator, a byte per defined coset: 1 where the relator closes
+    from a live coset at or above ``start``; and whether every relator
+    closes at every such coset.  Every live row must be complete; the trace
+    runs on the live rows alone, renumbered in order."""
+    n = len(ct.p)
+    live = ct.live_cosets()
+    new_index = np.full(n, -1)
+    new_index[live] = np.arange(len(live))
+    entries = np.array([[c[k] for k in live] for c in ct.cols])
+    table = new_index[entries]
+    if (entries < 0).any() or (table < 0).any():
+        raise InvariantError("lookahead needs every live row complete and live")
+    live = np.array(live)
+    starts = np.arange(np.searchsorted(live, start), len(live))
+    marks, finished = [], True
+    for _fwd, _bwd, nums in relators:
+        ends = starts
+        for c in nums:
+            ends = table[c].take(ends)
+        hits = ends == starts
+        finished = finished and bool(hits.all())
+        mark = bytearray(n)
+        np.frombuffer(mark, dtype=np.uint8)[live[starts[hits]]] = 1
+        marks.append(mark)
+    return marks, finished
 
 
 @dataclass
@@ -497,13 +606,40 @@ class RealizedPresentation:
 
 def group_from_table(ct: CosetTable,
                      order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """The regular representation that a closed table gives.
+
+    Row k of the element matrix is the element that sends coset 0 to coset
+    k.  One walk from coset 0 fills the rows: if row k is the element x and
+    a is a generator permutation, then a * x (x applied first) sends 0 to
+    a[k], so row a[k] is a[row k].  Every row k starts with k, so the rows
+    are already in the canonical lexicographic order, with no row set and
+    no sort.  The order cap and the element-storage budget (n x n x 4
+    bytes) are checked before anything is built.
+    """
     n = ct.live_count()
     if n > order_cap:
         raise GroupTooLargeError(order_cap, n)
-    G = close_generators(ct.generator_perms(), order_cap)
-    if G.order != n:
-        raise InvariantError("coset action order differs from live-coset count")
-    return G
+    if 4 * n * n > ELEMENT_STORAGE_BUDGET:
+        raise BudgetError("element storage budget (bytes)", 4 * n * n,
+                          ELEMENT_STORAGE_BUDGET)
+    gens = ct.generator_perms()
+    perms = [(g.images, np.array(g.images, dtype=np.int32)) for g in gens]
+    matrix = np.empty((n, n), dtype=np.int32)
+    matrix[0] = np.arange(n)
+    reached = [0]
+    seen = bytearray(n)
+    seen[0] = 1
+    for k in reached:
+        row = matrix[k]
+        for images, a in perms:
+            j = images[k]
+            if not seen[j]:
+                seen[j] = 1
+                matrix[j] = a.take(row)
+                reached.append(j)
+    if len(reached) != n:
+        raise InvariantError("the walk from coset 0 missed some live cosets")
+    return FiniteGroup(gens, matrix)
 
 
 def realize(
@@ -518,10 +654,13 @@ def realize(
     With convention "auto", both commutator conventions are enumerated and
     the one matching ``order_hint`` wins (ties go to A); without a hint the
     larger resulting order wins, treating collapse as the sign of a wrong
-    convention.  When the two conventions give the same relators (no
-    bracket changes them), A's table stands for B as well, so the
-    presentation is enumerated once.  Raises if every attempted convention
-    is inconclusive.
+    convention.  When each of B's relators is the matching one of A's up to
+    cyclic rotation or inversion (no bracket changes them, or only as
+    [a,b] = 1 does), the two normal closures are equal, so A's table stands
+    for B as well and the presentation is enumerated once.  Raises
+    BudgetError before expanding any relator if they hold more than
+    ``max_cosets`` letters in all, and EnumerationInconclusiveError if every
+    attempted convention is inconclusive.
     """
     if convention in CONVENTIONS:
         ct = todd_coxeter(pres, convention, max_cosets)
@@ -534,9 +673,11 @@ def realize(
     if convention != "auto":
         raise ValueError(f"convention must be A, B, or auto, not {convention!r}")
 
+    pres.check_length(max_cosets)
     tables: dict[str, CosetTable | None] = {}
     orders: dict[str, int | None] = {}
-    same = pres.relators("A") == pres.relators("B")
+    rel_a, rel_b = pres.relators("A"), pres.relators("B")
+    same = len(rel_a) == len(rel_b) and all(map(_same_closure, rel_a, rel_b))
     for conv in CONVENTIONS:
         if same and conv != "A":
             tables[conv], orders[conv] = tables["A"], orders["A"]

@@ -1,11 +1,16 @@
+import math
+
+import numpy as np
 import pytest
 
 from centra import presentations
 from centra.errors import (
+    BudgetError,
     EnumerationInconclusiveError,
     GroupTooLargeError,
     PresentationSyntaxError,
 )
+from centra.groups import ELEMENT_STORAGE_BUDGET, close_generators
 from centra.presentations import (
     CosetTable,
     group_from_table,
@@ -241,6 +246,9 @@ ENUMERATION_COUNTS = [
     ("ex_order75.pres", "B", 252, 75),
     ("abelian-12x36", "B", 4535, 432),
     ("heisenberg-7", "B", 2287, 343),
+    ("c31-c15", "A", 9252, 465),
+    ("dihedral-486", "A", 486, 486),
+    ("cyclic-2000", "A", 2000, 2000),
 ]
 
 GENERATED_PRESENTATIONS = {
@@ -249,6 +257,10 @@ GENERATED_PRESENTATIONS = {
         "gens: x y z\nx^7 = 1\ny^7 = 1\nz^7 = 1\n"
         "[x,y] = z\n[x,z] = 1\n[y,z] = 1\n"
     ),
+    # the Frobenius group C31 : C15, b acting as a -> a^9
+    "c31-c15": "gens: a b\na^31 = 1\nb^15 = 1\nb^-1 a b = a^9\n",
+    "dihedral-486": "gens: a b\na^243 = 1\nb^2 = 1\n(ab)^2 = 1\n",
+    "cyclic-2000": "gens: a\na^2000 = 1\n",
 }
 
 
@@ -284,6 +296,26 @@ def test_realize_auto_enumerates_once_without_brackets(monkeypatch, text, n):
     assert (r.convention, r.order) == ("A", n)
 
 
+def test_realize_auto_enumerates_once_for_rotated_relators(monkeypatch):
+    # B's [a,b] is a cyclic rotation of A's, so the normal closures agree
+    calls = _counting_todd_coxeter(monkeypatch)
+    text = GENERATED_PRESENTATIONS["abelian-12x36"]
+    r = realize(parse_presentation(text), "auto", 432)
+    assert calls == ["A"]
+    assert r.orders == {"A": 432, "B": 432}
+    assert (r.convention, r.order) == ("A", 432)
+
+
+def test_same_closure_up_to_rotation_and_inversion():
+    same = presentations._same_closure
+    assert same([1, 2, -1, -2], [-1, -2, 1, 2])
+    assert same([1, 12], [12, 1])
+    assert same([1, 12], [-12, -1])
+    assert not same([1, 12], [2, 11])
+    assert not same([1, 1, 2], [1, 2, 2])
+    assert not same([1, 2], [1, 2, 1])
+
+
 def test_realize_auto_enumerates_both_conventions_with_brackets(monkeypatch):
     calls = _counting_todd_coxeter(monkeypatch)
     r = realize(parse_presentation(_data_text("ex_order147.pres")), "auto", 147)
@@ -305,3 +337,70 @@ def test_table_rows_mark_undefined_entries_with_none():
     beta = ct.define(0, 2)
     assert beta == 1
     assert ct.table == [[None, None, 1, None], [None, None, None, 0]]
+
+
+def test_lookahead_skips_scans_that_close(monkeypatch):
+    # the scan of a^2000 from coset 0 defines every coset and closes the
+    # table; the lookahead then finds a^2000 closed at every other coset,
+    # where plain HLT scans it 1999 more times
+    scans = []
+    real = CosetTable.scan_and_fill
+
+    def counted(self, alpha, rel):
+        scans.append(alpha)
+        return real(self, alpha, rel)
+
+    monkeypatch.setattr(CosetTable, "scan_and_fill", counted)
+    ct = todd_coxeter(parse_presentation(GENERATED_PRESENTATIONS["cyclic-2000"]), "A")
+    assert scans == [0]
+    assert ct.live_count() == 2000
+
+
+SMALL_PRESENTATIONS = [
+    "gens: a\na^12 = 1\n",
+    "gens: a b\na^9 = 1\nb^2 = 1\n(ab)^2 = 1\n",
+    "gens: a b\na^8 = 1\nb^2 = a^4\nb^-1 a b = a^-1\n",
+    "gens: a b\na^7 = 1\nb^3 = 1\nb^-1 a b = a^2\n",
+]
+BUNDLED_PRESENTATIONS = [
+    "ex_order18.pres", "ex_order147.pres", "ex_order24.pres",
+    "ex_order12.pres", "ex_order75.pres",
+]
+
+
+@pytest.mark.parametrize("conv", ["A", "B"])
+@pytest.mark.parametrize(
+    "text",
+    SMALL_PRESENTATIONS + [_data_text(f) for f in BUNDLED_PRESENTATIONS],
+    ids=["cyclic-12", "dihedral-18", "quaternion-16", "metacyclic-21"]
+    + BUNDLED_PRESENTATIONS,
+)
+def test_regular_rows_match_generator_closure(text, conv):
+    ct = todd_coxeter(parse_presentation(text), conv)
+    G = group_from_table(ct)
+    H = close_generators(ct.generator_perms())
+    assert np.array_equal(G.matrix, H.matrix)
+    assert G.generators == H.generators
+
+
+def test_group_from_table_checks_storage_before_building():
+    # the smallest cyclic group whose regular representation is over budget
+    n = math.isqrt(ELEMENT_STORAGE_BUDGET // 4) + 1
+    assert 4 * (n - 1) ** 2 <= ELEMENT_STORAGE_BUDGET < 4 * n * n
+    with pytest.raises(BudgetError) as err:
+        realize(parse_presentation(f"gens: a\na^{n} = 1\n"), "auto", n)
+    assert (err.value.needed, err.value.limit) == (4 * n * n, ELEMENT_STORAGE_BUDGET)
+    assert "element storage budget" in str(err.value)
+
+
+def test_relator_length_is_bounded_before_expansion():
+    # [a^3,b]^2 flattens to 2 * 2 * (3 + 1) = 16 letters, a^5 b^-2 to 7
+    pres = parse_presentation("gens: a b\n[a^3,b]^2 = 1\na^5 = b^2\n")
+    pres.check_length(23)
+    with pytest.raises(BudgetError) as err:
+        pres.check_length(22)
+    assert (err.value.needed, err.value.limit) == (23, 22)
+    huge = parse_presentation("gens: a\na^300000000 = 1\n")
+    for call in (lambda: todd_coxeter(huge, "A"), lambda: realize(huge)):
+        with pytest.raises(BudgetError, match="relator length bound"):
+            call()

@@ -2,6 +2,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -290,6 +291,17 @@ def test_cli_order_cap_bounds_presentation_specs(tmp_path, monkeypatch, capsys):
         assert main(["check-x", spec, "--order-cap", "10"]) == 2
         assert "cap of 10" in capsys.readouterr().err
     assert main(["check-x", "presentation:@c50.pres", "--order-cap", "50"]) == 0
+
+
+def test_cli_rejects_overlong_relators_before_expanding(tmp_path, monkeypatch, capsys):
+    # 300 million letters would end in MemoryError; the bound tied to the
+    # coset limit refuses them from the word tree
+    (tmp_path / "long.pres").write_text("gens: a\na^300000000 = 1\n")
+    monkeypatch.chdir(tmp_path)
+    start = time.process_time()
+    assert main(["check-x", "presentation:@long.pres"]) == 2
+    assert time.process_time() - start < 1.0
+    assert "relator length bound" in capsys.readouterr().err
 
 
 def test_cli_invariant_failure_exit_3(monkeypatch, capsys):
