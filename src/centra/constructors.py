@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 from typing import Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidActionError, InvariantError
 from .fields import MAX_FIELD_SIZE, FieldSpec, factorize, gf, is_prime
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, close_generators
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, check_order, close_generators
 from .perms import Perm
 
 # -- elementary families ----------------------------------------------------
@@ -28,6 +29,7 @@ def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """C_n as the group of an n-cycle."""
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
+    check_order(n, n, order_cap)
     if n == 1:
         return close_generators([Perm([0])], order_cap)
     return close_generators([Perm([(i + 1) % n for i in range(n)])], order_cap)
@@ -42,6 +44,7 @@ def abelian(invariant_factors: Sequence[int],
     if any(f < 2 for f in factors):
         raise ValueError("invariant factors must each be >= 2")
     degree = sum(factors)
+    check_order(prod(factors), degree, order_cap)
     gens = []
     offset = 0
     for f in factors:
@@ -107,6 +110,7 @@ def dihedral(two_n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if two_n < 2 or two_n % 2:
         raise ValueError("dihedral order must be even and >= 2")
     n = two_n // 2
+    check_order(two_n, n, order_cap)
     if n == 1:
         return cyclic(2)
     if n == 2:
@@ -124,6 +128,7 @@ def semidihedral(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n is None or n < 4:
         raise ValueError("semidihedral order must be 2^n with n >= 4")
     m = order // 2
+    check_order(order, m, order_cap)
     r = m // 2 - 1
     y = Perm([(i + 1) % m for i in range(m)])
     x = Perm([(r * i) % m for i in range(m)])
@@ -137,6 +142,7 @@ def generalized_quaternion(order: int,
     n = _power_of_two_exponent(order)
     if n is None or n < 3:
         raise ValueError("generalized quaternion order must be 2^n with n >= 3")
+    check_order(order, order, order_cap)
     m = order // 2
     half = m // 2
 

@@ -6,6 +6,23 @@ lexicographically, so two constructions of the same group index elements
 identically (the identity is index 0) and subgroups can be stored as
 bit-sets over those indices.
 
+``close_generators`` learns |G| before it makes any row of G.  A
+deterministic Schreier-Sims algorithm (Sims 1970; Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, ch. 4.4) builds a stabilizer chain
+G = G_0 >= G_1 >= ... >= G_k = 1, where G_{l+1} fixes the base points
+b_0 .. b_l, with a transversal U_l of G_{l+1} in G_l: one element u_p
+sending b_l to p for each point p of the orbit O_l of b_l under G_l.  Each
+element of G is one product u_0 u_1 ... u_{k-1} with u_l in U_l (sift it:
+its image of b_0 picks u_0, and u_0^-1 g lies in G_1), and two such products
+differ, since the first level where they differ tells them apart by the
+image of that base point.  So |G| is the product of the orbit lengths.
+While the chain is incomplete its orbits are orbits of subgroups of the
+G_l, and its products are still distinct elements of G, so the product of
+the orbit lengths so far bounds |G| from below.  That partial product is
+checked against the order cap and the element-storage budget before any
+transversal is allocated, and G is then enumerated as the products of the
+transversals, one numpy gather per level, and sorted.
+
 Elements are found by their images on a base B: points b_1 < ... < b_k whose
 pointwise stabilizer is trivial (Sims' stabilizer chain; Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, ch. 4), picked greedily as
@@ -43,12 +60,17 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegreeMismatchError, GroupTooLargeError, InvariantError
+from .errors import (
+    BudgetError,
+    DegreeMismatchError,
+    GroupTooLargeError,
+    InvariantError,
+)
 from .perms import Perm
 
 DEFAULT_ORDER_CAP = 200_000
@@ -65,17 +87,38 @@ ELEMENT_STORAGE_BUDGET = 1 << 28
 # of keys 4-10x faster than the search; the cap only bounds its memory, and
 # admits psl3:3 (5.1x) and sym:8 (6.5x).
 _TABLE_PER_MATRIX = 8
+# the stabilizer chain builds transversal layers and tests Schreier
+# generators in numpy blocks of at most this many entries (rows x degree).
+# A block's temporaries then take about 0.3 MB; 1 << 16 raised the peak of
+# small groups (q:256 0.66 -> 1.2 MB under tracemalloc) with no measurable
+# gain in time, and 1 << 12 slowed the order-1029 group of the manifest by
+# 70%.
+_BLOCK = 1 << 14
+# a chain level whose transversal holds at most this many entries (orbit x
+# degree) works on Python lists, one row at a time; a larger one in numpy
+# blocks.  Each numpy call costs a few microseconds, so the many small
+# levels of small groups run 2-4 times faster on lists.  Over the 351
+# closures of a manifest pass, limits from 256 to 2048 gave the same total
+# within noise; numpy alone (0) was 20-30% slower.
+_LIST_LEVEL = 1024
 
 
 def close_generators(
     gens: Sequence[Perm], order_cap: int = DEFAULT_ORDER_CAP
 ) -> "FiniteGroup":
-    """Enumerate the group generated by ``gens``.
+    """Enumerate the group generated by ``gens``, rows in canonical order.
 
-    Breadth-first closure over left multiplication by the generators, one
-    numpy batch per frontier and generator, followed by a canonical sort, so
-    repeated runs index elements identically.  Raises GroupTooLargeError
-    beyond ``order_cap``.
+    Builds a stabilizer chain (``_Chain``) whose orbit lengths multiply to
+    |G|, and while it grows to a lower bound on |G| (see the module
+    docstring).  Before each transversal is allocated, and before G is
+    enumerated, that product is checked against ``order_cap``
+    (GroupTooLargeError) and, times ``degree`` x 4 bytes, against
+    ``ELEMENT_STORAGE_BUDGET`` (BudgetError).  G is then the set of products
+    of one element from each transversal, each made once, with one numpy
+    gather per level, sorted by their greedy base images: two elements
+    first differ at a greedy base point, so that is the lexicographic order
+    of the rows, and any generating set of the same group indexes the
+    elements identically.
     """
     gens = list(gens)
     if not gens:
@@ -86,34 +129,284 @@ def close_generators(
             raise DegreeMismatchError(
                 f"generator degrees differ: {g.degree} vs {degree}"
             )
-    # rows are big-endian here, so sorting their bytes sorts the image
-    # tuples lexicographically
-    A = np.array([g.images for g in gens], dtype=">i4")
-    frontier = np.arange(degree, dtype=">i4").reshape(1, degree)
-    seen = {frontier.tobytes()}
-    step = 4 * degree
-    while len(frontier):
-        new = []
-        for a in A:
-            prod = a[frontier].tobytes()  # rows of g * x for x in the frontier
-            for k in range(len(frontier)):
-                y = prod[k * step : (k + 1) * step]
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if len(seen) > order_cap:
-                        raise GroupTooLargeError(order_cap, len(seen))
-        frontier = np.frombuffer(b"".join(new), dtype=">i4").reshape(len(new), degree)
-    rows = sorted(seen)
-    del seen
-    # move the rows into the matrix one at a time, so that at most two copies
-    # of the elements are alive at once, then swap to native byte order
-    n = len(rows)
-    buf = bytearray(n * step)
-    for i in range(n - 1, -1, -1):
-        buf[i * step : (i + 1) * step] = rows.pop()
-    matrix = np.frombuffer(buf, dtype=">i4").reshape(n, degree)
-    return FiniteGroup(gens, matrix.byteswap(inplace=True).view(np.int32))
+    return FiniteGroup(gens, _Chain(gens, order_cap).elements())
+
+
+def check_order(order: int, degree: int, order_cap: int) -> None:
+    """Refuse a group of ``order`` elements of ``degree`` points before its
+    rows are built: GroupTooLargeError above ``order_cap``, BudgetError if
+    its element matrix (order x degree x 4 bytes) exceeds the budget."""
+    if order > order_cap:
+        raise GroupTooLargeError(order_cap, order)
+    if 4 * order * degree > ELEMENT_STORAGE_BUDGET:
+        raise BudgetError("element storage budget (bytes)", 4 * order * degree,
+                          ELEMENT_STORAGE_BUDGET)
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point b, the indices of its
+    strong generators (each fixes the base points above b), the orbit of b
+    under them and its transversal, whose r-th row is an element of the
+    level's group sending b to the r-th least orbit point: Python lists in
+    ``rows``, or a numpy array ``U`` if it holds more than ``_LIST_LEVEL``
+    entries.  ``pairs`` is None while the generators have changed since the
+    orbit was made."""
+
+    __slots__ = ("point", "gens", "size", "where", "pos", "U", "rows",
+                 "inverse", "inverse_rows", "pairs", "tested")
+
+    def __init__(self, point: int):
+        self.point, self.gens, self.size, self.pairs = point, [], 1, None
+
+
+class _Chain:
+    """A stabilizer chain of the group generated by some permutations, built
+    by the deterministic Schreier-Sims algorithm.
+
+    A level with a list transversal tests and sifts its Schreier generators
+    one at a time; a level with a numpy transversal does so in blocks.  The
+    first point each strong generator moves is kept in ``first``: if every
+    level's base point is the least point its generators move, the base is
+    the greedy base of G (``_greedy_base``).
+    """
+
+    def __init__(self, gens: Sequence[Perm], order_cap: int):
+        d = self.degree = gens[0].degree
+        self.order_cap = order_cap
+        self.identity = list(range(d))
+        self.images: list[list[int]] = []   # per strong generator
+        self.first: list[int] = []
+        self.S = np.empty((0, d), dtype=np.int32)
+        self.levels: list[_Level] = []
+        # the generator moving the least point founds the first level
+        for h in sorted((list(g.images) for g in gens), key=_first_moved):
+            if h != self.identity:
+                moved = (i for i, L in enumerate(self.levels) if h[L.point] != L.point)
+                self._add(h, 0, next(moved, len(self.levels)))
+        # each level is complete once every level below it is: from the
+        # deepest level up, the first Schreier generator that does not sift
+        # to the identity becomes a strong generator, and the search goes
+        # on from the level where it dropped out
+        level = len(self.levels) - 1
+        while level >= 0:
+            if self.levels[level].pairs is None:
+                self._orbit(self.levels[level])
+            found = self._residue(level)
+            if found is None:
+                level -= 1
+            else:
+                h, drop = found
+                self._add(h, level + 1, drop)
+                level = drop
+        # only sifting reads the inverses: free them before G is enumerated
+        for L in self.levels:
+            L.inverse = L.inverse_rows = None
+
+    def _add(self, h: list[int], top: int, drop: int) -> None:
+        """Make ``h`` a strong generator of levels top .. drop; it fixes
+        every base point above ``drop``, which is a new level if it is the
+        length of the base."""
+        self.images.append(h)
+        self.first.append(_first_moved(h))
+        if drop == len(self.levels):
+            self.levels.append(_Level(self.first[-1]))
+        for L in self.levels[top : drop + 1]:
+            L.gens.append(len(self.images) - 1)
+            L.pairs = None
+
+    def _orbit(self, L: _Level) -> None:
+        """Compute the orbit of the level's base point breadth-first over
+        the generators' image lists, then its transversal along the Schreier
+        tree (u_q = s * u_p for the tree edge q = s(p)): row by row as lists,
+        or with one numpy gather per layer of the tree.  Every (generator,
+        point) pair that is not a tree edge is kept for ``_residue``."""
+        d = self.degree
+        images = [(g, self.images[g]) for g in L.gens]
+        where = [-1] * d
+        where[L.point] = 0
+        orbit, tree, pairs, layers = [L.point], [], [], [1]
+        lo = 0
+        while lo < len(orbit):
+            hi = len(orbit)
+            for p in orbit[lo:hi]:
+                for g, img in images:
+                    q = img[p]
+                    if where[q] < 0:
+                        where[q] = 0
+                        orbit.append(q)
+                        tree.append((g, p))
+                    else:
+                        pairs.append((g, p, q))
+            layers.append(len(orbit))
+            lo = hi
+        # the product of the orbit lengths counts distinct elements of G
+        # (products of transversal rows differ on the base), so it bounds
+        # |G| from below
+        L.size = len(orbit)
+        check_order(prod(M.size for M in self.levels), d, self.order_cap)
+        for r, p in enumerate(sorted(orbit)):
+            where[p] = r
+        L.where, L.pos, L.pairs, L.tested = where, np.array(where), pairs, 0
+        L.inverse, L.inverse_rows = None, [None] * len(orbit)
+        if len(orbit) * d <= _LIST_LEVEL:
+            rows = L.rows = [None] * len(orbit)
+            rows[where[L.point]] = self.identity
+            for (g, p), q in zip(tree, orbit[1:]):
+                s = self.images[g]
+                rows[where[q]] = [s[x] for x in rows[where[p]]]
+            return
+        S = self._stacked().reshape(-1)
+        L.rows, U = None, np.empty((len(orbit), d), dtype=np.int32)
+        U[where[L.point]] = self.identity
+        edges = np.array(tree).reshape(-1, 2)
+        via, at, to = edges[:, :1] * d, L.pos[edges[:, 1]], L.pos[orbit[1:]]
+        step = max(1, _BLOCK // d)
+        for a, z in zip(layers, layers[1:-1]):
+            if z - a == 1:
+                (g, p), q = tree[a - 1], orbit[a]
+                U[where[q]] = self.S[g].take(U[where[p]])
+                continue
+            # tree edges a-1 .. z-2 give the layer's rows, in blocks
+            for lo in range(a - 1, z - 1, step):
+                e = slice(lo, min(lo + step, z - 1))
+                U[to[e]] = S.take(via[e] + U[at[e]])
+        L.U = U
+
+    def _stacked(self) -> np.ndarray:
+        """The strong generators as numpy rows."""
+        if len(self.S) < len(self.images):
+            self.S = np.array(self.images, dtype=np.int32)
+        return self.S
+
+    def _inverse(self, L: _Level) -> np.ndarray:
+        """The inverses of the level's transversal rows, made on first use
+        (a group whose Schreier generators are all trivial never needs
+        them)."""
+        if L.inverse is None:
+            U = _rows(L)
+            n, d = U.shape
+            L.inverse = np.empty_like(U)
+            at = np.arange(0, n * d, d, dtype=np.int32)[:, None]
+            L.inverse.reshape(-1)[U + at] = np.arange(d, dtype=np.int32)
+        return L.inverse
+
+    def _inverse_row(self, L: _Level, r: int) -> list[int]:
+        """The inverse of the level's r-th transversal row, as a list."""
+        inv = L.inverse_rows[r]
+        if inv is None:
+            if L.rows is None:
+                inv = self._inverse(L)[r].tolist()
+            else:
+                inv = [0] * self.degree
+                for i, x in enumerate(L.rows[r]):
+                    inv[x] = i
+            L.inverse_rows[r] = inv
+        return inv
+
+    def _residue(self, level: int) -> tuple[list[int], int] | None:
+        """The first Schreier generator u_q^-1 * s * u_p (q = s(p)) of the
+        level, in the order of its pairs, that does not sift to the identity
+        through the levels below: its residue and the level where it dropped
+        out.  None once every pair sifts to the identity.  Only the pairs
+        with s * u_p != u_q can give anything but the identity."""
+        L, d = self.levels[level], self.degree
+        if L.rows is not None:
+            rows, where = L.rows, L.where
+            for k in range(L.tested, len(L.pairs)):
+                g, p, q = L.pairs[k]
+                s = self.images[g]
+                x = [s[y] for y in rows[where[p]]]
+                if x != rows[where[q]]:
+                    w = self._inverse_row(L, where[q])
+                    found = self._sift_row([w[y] for y in x], level + 1)
+                    if found is not None:
+                        L.tested = k + 1
+                        return found
+        else:
+            S, U = self._stacked().reshape(-1), L.U
+            step = max(1, _BLOCK // d)
+            for lo in range(L.tested, len(L.pairs), step):
+                c = np.array(L.pairs[lo : lo + step])
+                X = S.take(c[:, :1] * d + U[L.pos[c[:, 1]]])
+                q = L.pos[c[:, 2]]
+                bad = np.flatnonzero((X != U[q]).any(axis=1))
+                if len(bad):
+                    inverse = self._inverse(L).reshape(-1)
+                    H = inverse.take(q[bad, None] * d + X[bad])
+                    found = self._sift(H, level + 1)
+                    if found is not None:
+                        h, drop, k = found
+                        L.tested = lo + int(bad[k]) + 1
+                        return h, drop
+        # a generator that sifted to the identity stays in the group below
+        L.tested = len(L.pairs)
+        return None
+
+    def _sift_row(self, h: list[int], top: int) -> tuple[list[int], int] | None:
+        """Sift one element (fixing the base points above ``top``) through
+        levels top ..: h <- u_p^-1 * h for p = h(b), until some h(b) is not
+        in b's orbit.  The residue and the level it dropped out at, or None
+        if it sifts to the identity."""
+        for level in range(top, len(self.levels)):
+            L = self.levels[level]
+            r = L.where[h[L.point]]
+            if r < 0:
+                return h, level
+            w = self._inverse_row(L, r)
+            h = [w[x] for x in h]
+        return None if h == self.identity else (h, len(self.levels))
+
+    def _sift(self, H: np.ndarray, top: int) -> tuple[list[int], int, int] | None:
+        """``_sift_row`` for the rows of H at once: the first row whose
+        residue is not the identity, as (residue, level, row)."""
+        found, d = None, self.degree
+        for level in range(top, len(self.levels)):
+            L = self.levels[level]
+            r = L.pos[H[:, L.point]]
+            out = r < 0
+            if out.any():
+                k = int(out.argmax())
+                found, H, r = (H[k].tolist(), level, k), H[:k], r[:k]
+            H = self._inverse(L).reshape(-1).take(r[:, None] * d + H)
+        moved = (H != np.arange(d)).any(axis=1)
+        if moved.any():
+            k = int(moved.argmax())
+            found = (H[k].tolist(), len(self.levels), k)
+        return found
+
+    def elements(self) -> np.ndarray:
+        """Every element once, rows sorted: the products u_0 * u_1 * ... of
+        one row from each transversal, built from the deepest level up with
+        one gather per level, then sorted by their greedy base images.  Rows
+        come out grouped by their image of the first base point, ascending,
+        so a one-level chain gives them sorted."""
+        check_order(prod(L.size for L in self.levels), self.degree, self.order_cap)
+        if not self.levels:
+            return np.array([self.identity], dtype=np.int32)
+        E = _rows(self.levels[-1])
+        for L in reversed(self.levels[:-1]):
+            E = _rows(L).take(E, axis=1).reshape(-1, self.degree)
+        if len(self.levels) == 1:
+            # the first level's point is the least point G moves, which is
+            # all of the greedy base when its stabilizer is trivial
+            return E
+        base = [L.point for L in self.levels]
+        if any(L.point != min(self.first[g] for g in L.gens) for L in self.levels):
+            base = _greedy_base(E)
+        # two elements first differ at a greedy base point, so their base
+        # images order them as their rows do
+        return E.take(_lex_order(E[:, base]), axis=0)
+
+
+def _rows(L: _Level) -> np.ndarray:
+    """A level's transversal as a numpy array."""
+    return L.U if L.rows is None else np.array(L.rows, dtype=np.int32)
+
+
+def _first_moved(images: list[int]) -> int:
+    """The least point a permutation moves (its degree if it is the
+    identity)."""
+    return next((i for i, x in enumerate(images) if i != x), len(images))
 
 
 class FiniteGroup:
@@ -356,13 +649,14 @@ class FiniteGroup:
         # i^e is the identity iff it fixes every base point, so the order k
         # of i is the lcm of the base points' cycle lengths, and i^e maps b
         # to the point e steps along b's cycle
-        row, cycles = self.matrix[i], []
+        # (a memoryview of the row indexes as Python ints, made in O(1))
+        row, cycles = memoryview(self.matrix[i]), []
         for b in self.base.tolist():
             cycle = [b]
-            c = row.item(b)
+            c = row[b]
             while c != b:
                 cycle.append(c)
-                c = row.item(c)
+                c = row[c]
             cycles.append(cycle)
         k = lcm(*map(len, cycles))
         images = np.array([c * (k // len(c)) for c in cycles]).T
@@ -576,6 +870,22 @@ def _greedy_base(matrix: np.ndarray) -> np.ndarray:
     out = np.array(base, dtype=np.intp)
     out.flags.writeable = False
     return out
+
+
+def _lex_order(images: np.ndarray) -> np.ndarray:
+    """Indices that sort the distinct rows of ``images`` lexicographically.
+    The columns are packed as binary digits into as few int64 keys as hold
+    them, most significant first; one key is argsorted, more are lexsorted."""
+    bits = int(images.max()).bit_length() or 1
+    per = 63 // bits
+    keys = []
+    for lo in range(0, images.shape[1], per):
+        key = np.zeros(len(images), dtype=np.int64)
+        for col in images.T[lo : lo + per]:
+            key <<= bits
+            key |= col
+        keys.append(key)
+    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
 
 
 class SubgroupRef:

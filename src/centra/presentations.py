@@ -45,11 +45,10 @@ import numpy as np
 from .errors import (
     BudgetError,
     EnumerationInconclusiveError,
-    GroupTooLargeError,
     InvariantError,
     PresentationSyntaxError,
 )
-from .groups import DEFAULT_ORDER_CAP, ELEMENT_STORAGE_BUDGET, FiniteGroup
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, check_order
 from .perms import Perm
 
 DEFAULT_MAX_COSETS = 1_000_000
@@ -617,11 +616,7 @@ def group_from_table(ct: CosetTable,
     bytes) are checked before anything is built.
     """
     n = ct.live_count()
-    if n > order_cap:
-        raise GroupTooLargeError(order_cap, n)
-    if 4 * n * n > ELEMENT_STORAGE_BUDGET:
-        raise BudgetError("element storage budget (bytes)", 4 * n * n,
-                          ELEMENT_STORAGE_BUDGET)
+    check_order(n, n, order_cap)
     gens = ct.generator_perms()
     perms = [(g.images, np.array(g.images, dtype=np.int32)) for g in gens]
     matrix = np.empty((n, n), dtype=np.int32)

@@ -27,7 +27,7 @@ from centra.constructors import (
     semidirect,
     symmetric,
 )
-from centra.errors import GroupTooLargeError, InvalidActionError
+from centra.errors import BudgetError, GroupTooLargeError, InvalidActionError
 from centra.fields import gf
 from centra.groups import close_generators
 from centra.perms import Perm
@@ -136,6 +136,35 @@ def test_psl2_orders():
 def test_psl2_simple_for_small_q():
     for q in (4, 5, 7, 8, 9):
         assert is_simple(psl2(q))
+
+
+@pytest.mark.parametrize("build, arg, error", [
+    (cyclic, 9000, BudgetError),                  # 9000 x 9000 x 4 bytes
+    (dihedral, 12000, BudgetError),               # 12000 x 6000 x 4 bytes
+    (semidihedral, 2**14, BudgetError),           # 2^14 x 2^13 x 4 bytes
+    (generalized_quaternion, 2**14, BudgetError),
+    (abelian, [100, 100, 100], GroupTooLargeError),
+    (cyclic, 10**9, GroupTooLargeError),
+])
+def test_closed_forms_refuse_before_any_perm(build, arg, error, monkeypatch):
+    import centra.constructors as constructors
+
+    def no_perm(images):
+        pytest.fail("a Perm was built")
+
+    monkeypatch.setattr(constructors, "Perm", no_perm)
+    with pytest.raises(error):
+        build(arg)
+
+
+def test_closed_forms_honour_the_order_cap():
+    for build, arg, order in [(cyclic, 12, 12), (dihedral, 12, 12),
+                              (semidihedral, 16, 16),
+                              (generalized_quaternion, 8, 8),
+                              (abelian, [2, 6], 12)]:
+        assert build(arg, order_cap=order).order == order
+        with pytest.raises(GroupTooLargeError):
+            build(arg, order_cap=order - 1)
 
 
 def test_psl2_rejects_a_large_field_before_factorizing(monkeypatch):

@@ -1,8 +1,11 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centra.constructors import (
     abelian,
@@ -12,8 +15,14 @@ from centra.constructors import (
     generalized_quaternion,
     symmetric,
 )
-from centra.errors import GroupTooLargeError, InvariantError
-from centra.groups import FiniteGroup, SubgroupRef, close_generators
+from centra import groups
+from centra.errors import BudgetError, GroupTooLargeError, InvariantError
+from centra.groups import (
+    ELEMENT_STORAGE_BUDGET,
+    FiniteGroup,
+    SubgroupRef,
+    close_generators,
+)
 from centra.perms import Perm, parse_cycles, perms_from_cycles
 
 
@@ -261,16 +270,17 @@ def test_direct_product_order():
 # -- the element matrix against plain Perm arithmetic ----------------------------
 
 
-def _reference_elements(gens):
-    """Perm-by-Perm breadth-first closure, sorted by image tuple."""
-    identity = Perm.identity(gens[0].degree)
-    seen = {identity}
-    frontier = [identity]
+def _closure_rows(gens):
+    """Plain-Python breadth-first closure: the image tuples of every product
+    of the generators, as a set, then sorted."""
+    gens = [g.images for g in gens]
+    seen = {tuple(range(len(gens[0])))}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
-                y = g * x
+                y = tuple(g[i] for i in x)  # g * x, x applied first
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -338,10 +348,107 @@ def _reference_groups():
 REFERENCE_GROUPS = _reference_groups()
 
 
+@pytest.mark.parametrize("gens", [
+    [Perm([0])],
+    [Perm.identity(5)],
+    [Perm.identity(3), Perm.identity(3)],
+], ids=["degree-1", "identity", "identity-twice"])
+def test_trivial_group_closure(gens):
+    G = close_generators(gens)
+    assert G.order == 1
+    assert G.matrix.tolist() == [list(range(gens[0].degree))]
+    assert list(G.base) == []
+
+
+@st.composite
+def generator_sets(draw):
+    """1-3 generators of degree <= 7, identities and repeats allowed."""
+    degree = draw(st.integers(1, 7))
+    perm = st.permutations(range(degree)).map(Perm)
+    gens = draw(st.lists(perm, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens + [Perm.identity(degree)])))
+    return gens
+
+
+# a chain level works on Python lists up to groups._LIST_LEVEL entries and in
+# numpy blocks of groups._BLOCK entries above it; the default choice, each
+# path forced, and one-row blocks must all give the plain closure's matrix
+ROW_PATHS = {"default": (groups._LIST_LEVEL, groups._BLOCK),
+             "lists": (1 << 30, 1 << 14), "numpy": (0, 1 << 14),
+             "numpy-one-row-blocks": (0, 1)}
+
+
+@pytest.mark.parametrize("path", sorted(ROW_PATHS))
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_stabilizer_chain_matches_plain_closure(name, path, monkeypatch):
+    list_level, block = ROW_PATHS[path]
+    monkeypatch.setattr(groups, "_LIST_LEVEL", list_level)
+    monkeypatch.setattr(groups, "_BLOCK", block)
+    G = REFERENCE_GROUPS[name]
+    rows = _closure_rows(G.generators)
+    assert close_generators(G.generators).matrix.tolist() == [list(r) for r in rows]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(generator_sets(), st.sampled_from(sorted(ROW_PATHS)))
+def test_stabilizer_chain_matches_plain_closure_on_random_generators(gens, path):
+    rows = _closure_rows(gens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_LIST_LEVEL", ROW_PATHS[path][0])
+        mp.setattr(groups, "_BLOCK", ROW_PATHS[path][1])
+        G = close_generators(gens)
+    assert G.matrix.tolist() == [list(r) for r in rows]
+    assert G.order == len(rows)
+
+
+def _mixed_levels():
+    """Chains with a list level next to a numpy level (_LIST_LEVEL = 1024
+    entries): C2 x C38 on 40 points sifts from a list level (orbit 2) through
+    a numpy one (orbit 38); D128 on 64 points from a numpy level (orbit 64)
+    through a list one (orbit 2)."""
+    c38 = Perm([0, 1] + [2 + (i + 1) % 38 for i in range(38)])
+    return {"c2xc38": [parse_cycles("(1,2)", 40), c38],
+            "dihedral:128": list(dihedral(128).generators)}
+
+
+@pytest.mark.parametrize("name", sorted(_mixed_levels()))
+def test_chain_mixes_list_and_numpy_levels(name):
+    gens = _mixed_levels()[name]
+    rows = _closure_rows(gens)
+    assert close_generators(gens).matrix.tolist() == [list(r) for r in rows]
+
+
+def test_chain_rejects_on_the_partial_order_before_allocating():
+    # C1000 x C1000 on 2000 points: the orbits of the first two base points
+    # give 10^6 elements > the cap, before their transversals' product (8 GB
+    # as a matrix) or any enumeration exists
+    gens = [
+        Perm([(i + 1) % 1000 if i < 1000 else i for i in range(2000)]),
+        Perm([i if i < 1000 else 1000 + (i + 1) % 1000 for i in range(2000)]),
+    ]
+    start = time.process_time()
+    with pytest.raises(GroupTooLargeError) as err:
+        close_generators(gens)
+    assert time.process_time() - start < 1.0
+    assert (err.value.cap, err.value.partial_count) == (200_000, 10**6)
+
+
+def test_chain_rejects_a_transversal_over_the_storage_budget():
+    # a 9000-cycle: one orbit of 9000 points, whose transversal alone would
+    # be 9000 x 9000 x 4 bytes
+    n = 9000
+    start = time.process_time()
+    with pytest.raises(BudgetError) as err:
+        close_generators([Perm([(i + 1) % n for i in range(n)])])
+    assert time.process_time() - start < 1.0
+    assert (err.value.needed, err.value.limit) == (4 * n * n, ELEMENT_STORAGE_BUDGET)
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
 def test_element_matrix_matches_perm_closure(name):
     G = REFERENCE_GROUPS[name]
-    ref = _reference_elements(list(G.generators))
+    ref = [Perm(row) for row in _closure_rows(G.generators)]
     assert [p.images for p in G] == [p.images for p in ref]
     assert G.matrix.dtype == np.int32 and G.matrix.flags.c_contiguous
     assert G.matrix.tolist() == [list(p.images) for p in ref]

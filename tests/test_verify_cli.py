@@ -304,6 +304,27 @@ def test_cli_rejects_overlong_relators_before_expanding(tmp_path, monkeypatch, c
     assert "relator length bound" in capsys.readouterr().err
 
 
+# the closed forms of the first five families reject them in the constructor,
+# before any Perm of their degree is built; the stabilizer chain rejects the
+# last two on the product of its first orbit lengths (101 x 10201 and
+# 101 x 10303), before allocating a transversal of 10^4 x 10^4 entries.
+# Each used to run for seconds and end in MemoryError (exit 1) or be killed
+@pytest.mark.parametrize("spec, message", [
+    ("cyclic:1000000000", "cap of 200000"),
+    ("dihedral:100000000", "cap of 200000"),
+    ("q:1048576", "cap of 200000"),
+    ("sd:4194304", "cap of 200000"),
+    ("abelian:1000,1000", "cap of 200000"),
+    ("xsp:101,p", "at least 1030301 found"),
+    ("psl3:101", "at least 1040603 found"),
+])
+def test_cli_rejects_oversized_groups_before_allocating(spec, message, capsys):
+    start = time.process_time()
+    assert main(["check-x", spec]) == 2
+    assert time.process_time() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
 def test_cli_invariant_failure_exit_3(monkeypatch, capsys):
     def broken(G):
         raise InvariantError("broken on purpose")
