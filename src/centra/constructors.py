@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 from typing import Sequence
 
@@ -59,6 +59,9 @@ def abelian(invariant_factors: Sequence[int],
 def symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise ValueError("degree must be >= 1")
+    # n! for n <= 20; 20! already passes every order whose 20-point rows fit
+    # the storage budget, so larger n are refused before any Perm is built
+    check_order(factorial(min(n, 20)), n, order_cap)
     if n == 1:
         return cyclic(1)
     swap = Perm([1, 0] + list(range(2, n)))
@@ -73,6 +76,7 @@ def alternating(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError("degree must be >= 1")
     if n <= 2:
         return close_generators([Perm.identity(max(n, 1))], order_cap)
+    check_order(factorial(min(n, 20)) // 2, n, order_cap)  # as in symmetric
     three = Perm([1, 2, 0] + list(range(3, n)))
     if n == 3:
         return close_generators([three], order_cap)
@@ -90,16 +94,22 @@ def _of_order(G: FiniteGroup, order: int) -> FiniteGroup:
     return G
 
 
-def direct_product(A: FiniteGroup, B: FiniteGroup,
+def direct_product(*factors: FiniteGroup,
                    order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """A x B acting on the disjoint union of the two point sets."""
-    da, db = A.degree, B.degree
-    gens = []
-    for g in A.generators:
-        gens.append(Perm(list(g.images) + list(range(da, da + db))))
-    for g in B.generators:
-        gens.append(Perm(list(range(da)) + [da + v for v in g.images]))
-    return _of_order(close_generators(gens, order_cap), A.order * B.order)
+    """The product of the factors acting on the disjoint union of their point
+    sets, each factor's generators on its own block: one closure, whatever
+    the number of factors."""
+    order, degree = prod(G.order for G in factors), sum(G.degree for G in factors)
+    check_order(order, degree, order_cap)
+    gens, offset = [], 0
+    for G in factors:
+        before = list(range(offset))
+        after = list(range(offset + G.degree, degree))
+        # each factor's generators are bijections, so their shifts are too
+        gens += [Perm._unchecked((*before, *(offset + v for v in g.images), *after))
+                 for g in G.generators]
+        offset += G.degree
+    return _of_order(close_generators(gens, order_cap), order)
 
 
 # -- 2-groups of maximal class ------------------------------------------------
@@ -185,10 +195,12 @@ def extraspecial_p3(p: int, exponent: str = "p",
     exponent="p2": C_{p^2} semidirect C_p via its regular representation,
     generated by left multiplication by (1, 0) and (0, 1).
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime (order-8 cases are D8/Q8)")
     if exponent not in ("p", "p2"):
         raise ValueError('exponent must be "p" or "p2"')
+    # before the primality test, which trial-divides up to sqrt(p)
+    check_order(p**3, p * p if exponent == "p" else p**3, order_cap)
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime (order-8 cases are D8/Q8)")
     if exponent == "p":
         # left multiplication on cosets, parametrized by (b, c) in GF(p)^2
         def point(b: int, c: int) -> int:
@@ -280,6 +292,10 @@ def projective_plane_perm(p: int, matrix: Sequence[Sequence[int]]) -> Perm:
 
 def psl3(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """PSL3(p) on the p^2+p+1 projective-plane points (subject to the cap)."""
+    # the group is transitive on the points, so it has at least as many
+    # elements: refuse that many before the plane (or the primality test,
+    # which trial-divides up to sqrt(p)) is made; the chain bounds the rest
+    check_order(p * p + p + 1, 1, order_cap)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     T = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
@@ -539,12 +555,7 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
     xsp:P,p / xsp:P,p2, sym:N, alt:N, psl2:Q, psl3:P, sdp:@action.json,
     presentation:@file.pres[#A|#B|#auto:HINT], dp:SPEC;SPEC.
     """
-    spec = spec.strip()
-    if ":" not in spec:
-        raise ValueError(f"bad group spec {spec!r}")
-    head, _, arg = spec.partition(":")
-    head = head.strip().lower()
-    arg = arg.strip()
+    head, arg = _split_spec(spec)
     if head == "cyclic":
         return cyclic(int(arg), order_cap)
     if head == "abelian":
@@ -567,12 +578,18 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
     if head == "psl3":
         return psl3(int(arg), order_cap)
     if head == "dp":
-        left, _, right = arg.partition(";")
-        return direct_product(
-            parse_group_spec(left, base_dir, order_cap),
-            parse_group_spec(right, base_dir, order_cap),
-            order_cap,
-        )
+        # dp:A;dp:B;C is A x (B x C): the right-nested chain is read in a
+        # loop, not by recursion, its partial order and degree are checked
+        # before each next factor is built, and the product is closed once
+        factors, order, degree = [], 1, 0
+        while head == "dp":
+            left, _, spec = arg.partition(";")
+            factors.append(parse_group_spec(left, base_dir, order_cap))
+            order, degree = order * factors[-1].order, degree + factors[-1].degree
+            check_order(order, degree, order_cap)
+            head, arg = _split_spec(spec)
+        factors.append(parse_group_spec(spec, base_dir, order_cap))
+        return direct_product(*factors, order_cap=order_cap)
     if head == "sdp":
         path = _resolve_at_path(arg, base_dir)
         data = json.loads(path.read_text())
@@ -601,6 +618,15 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
         )
         return realized.group
     raise ValueError(f"unknown group spec {spec!r}")
+
+
+def _split_spec(spec: str) -> tuple[str, str]:
+    """The family head (lower case) and argument of a spec."""
+    spec = spec.strip()
+    if ":" not in spec:
+        raise ValueError(f"bad group spec {spec!r}")
+    head, _, arg = spec.partition(":")
+    return head.strip().lower(), arg.strip()
 
 
 def _resolve_at_path(arg: str, base_dir: Path | str | None) -> Path:

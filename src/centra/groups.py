@@ -21,17 +21,21 @@ G_l, and its products are still distinct elements of G, so the product of
 the orbit lengths so far bounds |G| from below.  That partial product is
 checked against the order cap and the element-storage budget before any
 transversal is allocated, and G is then enumerated as the products of the
-transversals, one numpy gather per level, and sorted.
+transversals, one numpy gather per level.
 
 Elements are found by their images on a base B: points b_1 < ... < b_k whose
 pointwise stabilizer is trivial (Sims' stabilizer chain; Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, ch. 4), picked greedily as
 the first point moved by the stabilizer of the points before it.  Two
 distinct elements first differ at a base point, so their base images order
-them as their rows do.  A dense int32 table maps the key of a row, its base
-images read as digits base ``degree``, to its index when the table is at
-most a few times the size of the matrix; otherwise the base images, already
-sorted with the rows, are binary-searched as big-endian void keys.  Every
+them as their rows do.  ``FiniteGroup`` alone decides that order: it takes
+rows in any order, computes the greedy base once, and keys each row by its
+base images read as digits base ``degree``, an int64 (big-endian void bytes
+only when degree^k reaches 2^63).  It sorts the rows by that key, copying
+nothing when they already come in order (one-level chains, coset tables,
+induced subgroups), and the same sorted keys fill the lookup: a dense int32
+table from key to index when the table is at most a few times the size of
+the matrix, else the keys themselves, binary-searched.  Every
 index-level operation (products, inverses, conjugation batches,
 right-multiplication columns, commute masks) computes only the base images
 of its results with numpy and finds them in one lookup.
@@ -106,7 +110,7 @@ _LIST_LEVEL = 1024
 def close_generators(
     gens: Sequence[Perm], order_cap: int = DEFAULT_ORDER_CAP
 ) -> "FiniteGroup":
-    """Enumerate the group generated by ``gens``, rows in canonical order.
+    """Enumerate the group generated by ``gens``.
 
     Builds a stabilizer chain (``_Chain``) whose orbit lengths multiply to
     |G|, and while it grows to a lower bound on |G| (see the module
@@ -115,10 +119,8 @@ def close_generators(
     (GroupTooLargeError) and, times ``degree`` x 4 bytes, against
     ``ELEMENT_STORAGE_BUDGET`` (BudgetError).  G is then the set of products
     of one element from each transversal, each made once, with one numpy
-    gather per level, sorted by their greedy base images: two elements
-    first differ at a greedy base point, so that is the lexicographic order
-    of the rows, and any generating set of the same group indexes the
-    elements identically.
+    gather per level; ``FiniteGroup`` puts them in the canonical order, so
+    any generating set of the same group indexes the elements identically.
     """
     gens = list(gens)
     if not gens:
@@ -164,10 +166,7 @@ class _Chain:
     by the deterministic Schreier-Sims algorithm.
 
     A level with a list transversal tests and sifts its Schreier generators
-    one at a time; a level with a numpy transversal does so in blocks.  The
-    first point each strong generator moves is kept in ``first``: if every
-    level's base point is the least point its generators move, the base is
-    the greedy base of G (``_greedy_base``).
+    one at a time; a level with a numpy transversal does so in blocks.
     """
 
     def __init__(self, gens: Sequence[Perm], order_cap: int):
@@ -175,7 +174,6 @@ class _Chain:
         self.order_cap = order_cap
         self.identity = list(range(d))
         self.images: list[list[int]] = []   # per strong generator
-        self.first: list[int] = []
         self.S = np.empty((0, d), dtype=np.int32)
         self.levels: list[_Level] = []
         # the generator moving the least point founds the first level
@@ -207,9 +205,8 @@ class _Chain:
         every base point above ``drop``, which is a new level if it is the
         length of the base."""
         self.images.append(h)
-        self.first.append(_first_moved(h))
         if drop == len(self.levels):
-            self.levels.append(_Level(self.first[-1]))
+            self.levels.append(_Level(_first_moved(h)))
         for L in self.levels[top : drop + 1]:
             L.gens.append(len(self.images) - 1)
             L.pairs = None
@@ -375,27 +372,17 @@ class _Chain:
         return found
 
     def elements(self) -> np.ndarray:
-        """Every element once, rows sorted: the products u_0 * u_1 * ... of
-        one row from each transversal, built from the deepest level up with
-        one gather per level, then sorted by their greedy base images.  Rows
-        come out grouped by their image of the first base point, ascending,
-        so a one-level chain gives them sorted."""
+        """Every element once: the products u_0 * u_1 * ... of one row from
+        each transversal, built from the deepest level up with one gather per
+        level.  Rows come out grouped by their image of the first base point,
+        ascending, so a one-level chain gives them in canonical order."""
         check_order(prod(L.size for L in self.levels), self.degree, self.order_cap)
         if not self.levels:
             return np.array([self.identity], dtype=np.int32)
         E = _rows(self.levels[-1])
         for L in reversed(self.levels[:-1]):
             E = _rows(L).take(E, axis=1).reshape(-1, self.degree)
-        if len(self.levels) == 1:
-            # the first level's point is the least point G moves, which is
-            # all of the greedy base when its stabilizer is trivial
-            return E
-        base = [L.point for L in self.levels]
-        if any(L.point != min(self.first[g] for g in L.gens) for L in self.levels):
-            base = _greedy_base(E)
-        # two elements first differ at a greedy base point, so their base
-        # images order them as their rows do
-        return E.take(_lex_order(E[:, base]), axis=0)
+        return E
 
 
 def _rows(L: _Level) -> np.ndarray:
@@ -412,16 +399,39 @@ def _first_moved(images: list[int]) -> int:
 class FiniteGroup:
     """A fully enumerated permutation group with canonical element indexing."""
 
-    def __init__(self, generators: Sequence[Perm], matrix: np.ndarray):
-        """``matrix``: one image row per element, rows sorted lexicographically."""
+    def __init__(self, generators: Sequence[Perm], rows: np.ndarray):
+        """``rows``: one image row per element of the group, in any order.
+
+        This is the one place the canonical order is decided: the greedy
+        base is computed once, each row is keyed by its base images
+        (``_key``), the rows are sorted by key (with no copy when they come
+        in order) and the sorted keys fill the lookup of ``_find``: a dense
+        table from key to index, or the keys themselves, binary-searched.
+        Rows that repeat, or lack the identity, raise InvariantError.
+        """
         self.generators = tuple(generators)
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.int32)
+        matrix = np.ascontiguousarray(rows, dtype=np.int32)
+        self.base = _greedy_base(matrix)
+        n, d, k = *matrix.shape, len(self.base)
+        self._weights = (d ** np.arange(k - 1, -1, -1, dtype=np.int64)
+                         if d**k < 2**63 else None)
+        keys = self._key(matrix[:, self.base])
+        by_key = np.argsort(keys)
+        if (by_key[1:] < by_key[:-1]).any():
+            matrix, keys = matrix.take(by_key, axis=0), keys[by_key]
+        if (keys[1:] == keys[:-1]).any():
+            raise InvariantError("rows must be distinct elements of one group")
+        self.matrix = matrix
         self.matrix.flags.writeable = False
         # identity is lexicographically least among permutations, so index 0
-        if not np.array_equal(self.matrix[0], np.arange(self.degree)):
+        if not np.array_equal(self.matrix[0], np.arange(d)):
             raise InvariantError("the identity must sort to index 0")
-        self.base = _greedy_base(self.matrix)
-        self._index_base_images()
+        self._table = self._keys = None
+        if d**k <= _TABLE_PER_MATRIX * n * d:
+            self._table = np.full(d**k, -1, dtype=np.int32)
+            self._table[keys] = np.arange(n, dtype=np.int32)
+        else:
+            self._keys = keys
         # per element: order, bit-set of <i> and its least generator, filled
         # by _walk_cyclic on demand (an order or mask of 0 is not yet known)
         self._orders = [1] + [0] * (self.order - 1)
@@ -483,25 +493,14 @@ class FiniteGroup:
 
     # -- index-level arithmetic -----------------------------------------
 
-    def _index_base_images(self) -> None:
-        """Build the one lookup structure for the base images: a dense table
-        indexed by key, or the base images themselves as sorted void keys.
-
-        ``_find`` of every row's base images must return its own index: that
-        checks that the rows are distinct, and that they are sorted where
-        the keys are searched.
-        """
-        d, k, n = self.degree, len(self.base), self.order
-        images = self.matrix[:, self.base]
-        self._table = self._keys = self._weights = None
-        if d**k <= _TABLE_PER_MATRIX * n * d:
-            self._weights = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
-            self._table = np.full(d**k, -1, dtype=np.int32)
-            self._table[images @ self._weights] = np.arange(n, dtype=np.int32)
-        else:
-            self._keys = _void_keys(images)
-        if not np.array_equal(self._find(images), np.arange(n)):
-            raise InvariantError("rows must be distinct and sorted lexicographically")
+    def _key(self, images) -> np.ndarray:
+        """One key per row of base images (an int array of shape (..., |B|)),
+        ordered as the rows: the images read as digits base ``degree``, or,
+        when those overflow an int64, their big-endian bytes."""
+        if self._weights is None:
+            rows = np.ascontiguousarray(images, dtype=">i4")
+            return rows.view(f"V{4 * rows.shape[-1]}")[..., 0]
+        return np.asarray(images) @ self._weights
 
     def _find(self, images) -> np.ndarray:
         """Indices of the elements with the given base images, an int array
@@ -511,8 +510,8 @@ class FiniteGroup:
         -1 (no table entry), ``order`` (beyond every key) or another
         element's index, and ``index_of`` checks it against the full row."""
         if self._table is None:
-            return np.searchsorted(self._keys, _void_keys(images))
-        return self._table[np.asarray(images) @ self._weights]
+            return np.searchsorted(self._keys, self._key(images))
+        return self._table[self._key(images)]
 
     def right_mult_column(self, j: int) -> memoryview:
         """column[x] = index of elements[x] * elements[j]; cached per j."""
@@ -575,7 +574,9 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        gens = self.generator_indices()
+        # each distinct generator once: a direct product of many trivial
+        # factors has a generator per factor, nearly all the identity
+        gens = sorted(set(self.generator_indices()) - {0})
         return all(
             self.mul(a, b) == self.mul(b, a) for a in gens for b in gens
         )
@@ -851,12 +852,6 @@ def _index_map(found: np.ndarray) -> memoryview:
     return memoryview(np.ascontiguousarray(found, dtype=np.int32).reshape(-1))
 
 
-def _void_keys(images) -> np.ndarray:
-    """One opaque key per image row, ordered as the rows (big-endian bytes)."""
-    rows = np.ascontiguousarray(images, dtype=">i4")
-    return rows.view(f"V{4 * rows.shape[-1]}")[..., 0]
-
-
 def _greedy_base(matrix: np.ndarray) -> np.ndarray:
     """Ascending points whose pointwise stabilizer in the rows is trivial:
     each is the first point moved by the stabilizer of those before it."""
@@ -870,22 +865,6 @@ def _greedy_base(matrix: np.ndarray) -> np.ndarray:
     out = np.array(base, dtype=np.intp)
     out.flags.writeable = False
     return out
-
-
-def _lex_order(images: np.ndarray) -> np.ndarray:
-    """Indices that sort the distinct rows of ``images`` lexicographically.
-    The columns are packed as binary digits into as few int64 keys as hold
-    them, most significant first; one key is argsorted, more are lexsorted."""
-    bits = int(images.max()).bit_length() or 1
-    per = 63 // bits
-    keys = []
-    for lo in range(0, images.shape[1], per):
-        key = np.zeros(len(images), dtype=np.int64)
-        for col in images.T[lo : lo + per]:
-            key <<= bits
-            key |= col
-        keys.append(key)
-    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
 
 
 class SubgroupRef:
@@ -956,7 +935,8 @@ class SubgroupRef:
         )
 
     def induced_group(self) -> FiniteGroup:
-        """The subgroup as a standalone FiniteGroup (same degree)."""
+        """The subgroup as a standalone FiniteGroup (same degree); its rows,
+        taken in ascending index order, are already in canonical order."""
         return FiniteGroup(self.generators(), self.parent.matrix[self.indices()])
 
     def conjugate_mask(self, g: int) -> int:

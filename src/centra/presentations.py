@@ -31,8 +31,9 @@ scans of the (relator, coset) pairs that already close are skipped.  They
 would change nothing, so the table is exactly that of plain HLT.
 A closed table gives the regular representation, so the live-coset count is
 the group order; ``group_from_table`` reads its rows straight off the table,
-the row of the element sending coset 0 to coset k at index k, which is
-already the canonical order.
+the row of the element sending coset 0 to coset k at index k.  That row
+starts with k, so ``FiniteGroup``, which decides the canonical order, finds
+the rows already in it and copies nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ from .groups import DEFAULT_ORDER_CAP, FiniteGroup, check_order
 from .perms import Perm
 
 DEFAULT_MAX_COSETS = 1_000_000
+# brackets and parentheses may nest at most this deep in one word.  The
+# parser and the word-tree walks (_flatten, _length) recurse once or twice
+# per level, so the bound keeps them far below Python's recursion limit;
+# the bundled and benchmark presentations nest at most 2 deep.
+MAX_NESTING = 100
 
 CONVENTIONS = ("A", "B")
 
@@ -271,6 +277,7 @@ class _WordParser:
         self.pos = 0
         self.line = line
         self.gen_index = gen_index
+        self.depth = 0
 
     def peek(self) -> tuple | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -306,13 +313,18 @@ class _WordParser:
             if tok[1] != "1":
                 self._err(f"unexpected integer {tok[1]!r}", tok)
             node = ("one",)
+        elif kind in ("(", "[") and self.depth == MAX_NESTING:
+            self._err(f"brackets nested deeper than {MAX_NESTING}", tok)
         elif kind == "(":
+            self.depth += 1
             node = self.parse_word()
             closing = self.peek()
             if closing is None or closing[0] != ")":
                 self._err("expected ')'", closing)
             self.advance()
+            self.depth -= 1
         elif kind == "[":
+            self.depth += 1
             u = self.parse_word()
             comma = self.peek()
             if comma is None or comma[0] != ",":
@@ -323,6 +335,7 @@ class _WordParser:
             if closing is None or closing[0] != "]":
                 self._err("expected ']'", closing)
             self.advance()
+            self.depth -= 1
             node = ("comm", u, v)
         else:
             self._err(f"unexpected {tok[1]!r}", tok)
@@ -610,9 +623,9 @@ def group_from_table(ct: CosetTable,
     Row k of the element matrix is the element that sends coset 0 to coset
     k.  One walk from coset 0 fills the rows: if row k is the element x and
     a is a generator permutation, then a * x (x applied first) sends 0 to
-    a[k], so row a[k] is a[row k].  Every row k starts with k, so the rows
-    are already in the canonical lexicographic order, with no row set and
-    no sort.  The order cap and the element-storage budget (n x n x 4
+    a[k], so row a[k] is a[row k].  Every row k starts with k, so
+    ``FiniteGroup`` finds them in its canonical order and moves none; there
+    is no row set.  The order cap and the element-storage budget (n x n x 4
     bytes) are checked before anything is built.
     """
     n = ct.live_count()

@@ -308,15 +308,18 @@ def _c2_power_7():
     return close_generators(gens)
 
 
-# the dense table, and the binary search on the sorted base images: for a
-# table over 8x the matrix (8^5 keys, 192 elements of degree 8) and for keys
-# past int64 (1024^7)
-LOOKUP_PATHS = {"psl2:7": "table", "dp:sym:4;dihedral:8": "search",
-                "c2^7-on-1024": "search"}
+# the dense table, and the binary search on the sorted keys: for a table
+# over 8x the matrix (8^5 keys, 192 elements of degree 8) and for keys past
+# int64 (1024^7), which are big-endian void bytes
+LOOKUP_PATHS = {"psl2:7": ("table", "int64"),
+                "dp:sym:4;dihedral:8": ("search", "int64"),
+                "c2^7-on-1024": ("search", "void")}
 
 
 def _lookup_path(G):
-    return "table" if G._table is not None else "search"
+    key = G._key(G.matrix[:, G.base])
+    return ("table" if G._table is not None else "search",
+            "void" if key.dtype.kind == "V" else str(key.dtype))
 
 
 def _fresh_group(name):
@@ -554,6 +557,46 @@ def test_lookup_path(name):
     assert _lookup_path(REFERENCE_GROUPS[name]) == LOOKUP_PATHS[name]
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_rows_in_any_order_index_identically(name):
+    G = REFERENCE_GROUPS[name]
+    shuffled = G.matrix[np.random.default_rng(0).permutation(G.order)]
+    H = FiniteGroup(G.generators, shuffled)
+    assert np.array_equal(H.matrix, G.matrix)
+    assert np.array_equal(H.base, G.base)
+    images = G.matrix[:, G.base]
+    assert H._find(images).tolist() == G._find(images).tolist() == list(range(G.order))
+
+
+def test_rows_must_be_distinct_and_hold_the_identity():
+    G = dihedral(8)
+    with pytest.raises(InvariantError, match="distinct"):
+        FiniteGroup(G.generators, G.matrix[[0, 1, 1, 2]])
+    C3 = cyclic(3)
+    with pytest.raises(InvariantError, match="identity"):
+        FiniteGroup(C3.generators, C3.matrix[1:])
+
+
+# the chain's base is not the greedy base of sym:7, alt:7 and psl3:3; cyclic:12
+# is a one-level chain, whose rows come in order
+@pytest.mark.parametrize("spec", ["sym:7", "alt:7", "psl3:3", "cyclic:12"])
+def test_greedy_base_runs_once_per_closure(spec, monkeypatch):
+    from centra.constructors import parse_group_spec
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return greedy_base(matrix)
+
+    greedy_base = groups._greedy_base
+    monkeypatch.setattr(groups, "_greedy_base", counted)
+    G = parse_group_spec(spec)
+    assert calls == [G.order]
+    if spec == "cyclic:12":
+        assert len(groups._Chain(G.generators, G.order).levels) == 1
+
+
 @pytest.mark.parametrize(
     "name, size",
     [("cyclic:12", 1), ("dihedral-262", 1), ("dihedral:64", 2), ("psl2:7", 3),
@@ -571,7 +614,7 @@ def test_membership_compares_the_full_row():
     from centra.constructors import parse_group_spec
 
     G = parse_group_spec("dihedral:8")  # the symmetries of a square 0-1-2-3
-    assert G.base.tolist() == [0, 1] and _lookup_path(G) == "table"
+    assert G.base.tolist() == [0, 1] and _lookup_path(G) == ("table", "int64")
     swap = Perm([0, 1, 3, 2])  # the identity's base images, outside the group
     assert int(G._find(np.array(swap.images)[G.base])) == 0
     no_key = Perm([0, 2, 1, 3])  # base images of no element

@@ -304,10 +304,12 @@ def test_cli_rejects_overlong_relators_before_expanding(tmp_path, monkeypatch, c
     assert "relator length bound" in capsys.readouterr().err
 
 
-# the closed forms of the first five families reject them in the constructor,
-# before any Perm of their degree is built; the stabilizer chain rejects the
-# last two on the product of its first orbit lengths (101 x 10201 and
-# 101 x 10303), before allocating a transversal of 10^4 x 10^4 entries.
+# cyclic, dihedral, q, sd, abelian, xsp, sym and alt know their order from
+# their arguments, and psl3 a lower bound (its number of points), so the
+# constructor refuses them before any Perm of their degree is built (xsp and
+# psl3 also before the primality test, which trial-divides); the stabilizer
+# chain rejects psl3:101 on the product of its first orbit lengths
+# (101 x 10303), before allocating a transversal of 10^4 x 10^4 entries.
 # Each used to run for seconds and end in MemoryError (exit 1) or be killed
 @pytest.mark.parametrize("spec, message", [
     ("cyclic:1000000000", "cap of 200000"),
@@ -317,12 +319,41 @@ def test_cli_rejects_overlong_relators_before_expanding(tmp_path, monkeypatch, c
     ("abelian:1000,1000", "cap of 200000"),
     ("xsp:101,p", "at least 1030301 found"),
     ("psl3:101", "at least 1040603 found"),
+    ("sym:1000000", "cap of 200000"),
+    ("alt:1000000", "cap of 200000"),
+    ("xsp:1000003,p", "at least 1000009000027000027 found"),
+    ("psl3:1000003", "at least 1000007000013 found"),
+    ("psl3:1000000000000000003", "cap of 200000"),
 ])
 def test_cli_rejects_oversized_groups_before_allocating(spec, message, capsys):
     start = time.process_time()
     assert main(["check-x", spec]) == 2
     assert time.process_time() - start < 1.0
     assert message in capsys.readouterr().err
+
+
+def test_cli_long_dp_chain_closes_once(capsys):
+    # 1 200 right-nested factors used to recurse once each (RecursionError,
+    # exit 1); the chain is now read in a loop and closed once
+    spec = "dp:cyclic:1;" * 1200 + "cyclic:2"
+    start = time.process_time()
+    assert main(["check-x", spec]) == 0
+    assert time.process_time() - start < 2.0
+    assert json.loads(capsys.readouterr().out)["member"] is True  # C2
+
+
+@pytest.mark.parametrize("word, column", [
+    ("(a" * 600 + ")" * 600, 201),
+    ("(" * 3000 + "a" + ")" * 3000, 101),
+    ("[a," * 150 + "a" + "]" * 150, 301),
+])
+def test_cli_refuses_deep_nesting(word, column, tmp_path, monkeypatch, capsys):
+    # these used to end in RecursionError (exit 1)
+    (tmp_path / "deep.pres").write_text(f"gens: a\n{word} = 1\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["check-x", "presentation:@deep.pres"]) == 2
+    err = capsys.readouterr().err
+    assert f"line 2, column {column}: brackets nested deeper than 100" in err
 
 
 def test_cli_invariant_failure_exit_3(monkeypatch, capsys):
