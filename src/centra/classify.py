@@ -26,8 +26,8 @@ and z not in H >= K.  QED
 Because the condition is conjugation-invariant, z may range over conjugacy
 class representatives, and a, b over canonical generators of the distinct
 cyclic subgroups inside W = C_G(z) (replacing a generator by another
-generator of the same cyclic subgroup does not change <a,b>).  Three further
-cuts keep the scan sound:
+generator of the same cyclic subgroup does not change <a,b>).  Four further
+cuts keep the scan sound and close no subgroup:
 
 (a) a and b may be taken of prime-power order: the generators in (c) are.
 
@@ -39,30 +39,61 @@ cuts keep the scan sound:
     still holds, as conjugation maps minimal non-cyclic groups to such).
     b must still range over every cyclic subgroup, since w is spent on a.
 
-(c) Only pairs that can generate a minimal non-cyclic K (all of whose
-    proper subgroups are cyclic) are closed, and only up to |K|.  A
-    non-cyclic H <= C_G(z) missing z contains such a K (a least non-cyclic
-    subgroup), which misses z too.  By Miller and Moreno, Trans. AMS 4
-    (1903), K is C_p x C_p, Q8 or C_p x| C_{q^m} (p != q, y^q central for
-    y of order q^m), generated by elements of orders (p, p), (4, 4) or
-    (p, q^m), and |K| = p^2, 8 or p.q^m.  A pair of other orders, or whose
-    closure passes that bound, generates no such K and is skipped.  Within
-    its bound <a,b> is non-cyclic iff p = q (two distinct cyclic subgroups
-    of one order) or ab != ba (commuting a, b of coprime orders generate
-    the cyclic C_{p^e q^f}).  A non-cyclic <a,b> then has exactly that
-    order, and is minimal iff: (p, p); or (4, 4) and ab != ba (Q8, not
-    C4 x C2); or (p, q^m) and x of order p commutes with y^q (else
-    <x, y^q> is a smaller non-cyclic group; if so, Z = <y^q> is central
-    and K/Z of order pq is not abelian: if p > q, <x> is normal and K is
-    C_p x| C_{q^m} as listed; if q > p, <y> is, and x, fixing y^q, acts
-    trivially on it unless m = 1, when K is C_q x| C_p).  Only minimal K
-    are taken as witnesses.
+(c) Only pairs generating a minimal non-cyclic K (all of whose proper
+    subgroups are cyclic) are taken, and the defining relations of K
+    decide which pairs do.  A non-cyclic H <= C_G(z) missing z contains
+    such a K (a least non-cyclic subgroup), which misses z too.  By Miller
+    and Moreno, Trans. AMS 4 (1903), K is C_p x C_p, Q8 or C_p x| C_{q^m}
+    (p != q, y^q central for y of order q^m), generated by elements of
+    orders (p, p), (4, 4) or (p, q^m); pairs of other orders are skipped.
+    For a, b of those orders generating distinct cyclic subgroups:
+    - (p, p): <a,b> = C_p x C_p iff ab = ba (then <a><b> has p^2 elements,
+      as <a> n <b> = 1; conversely a group of order p^2 is abelian).
+    - (4, 4): <a,b> = Q8 iff ab != ba, a^2 = b^2 and b normalizes <a>.  If
+      so, <a> is normal of index 2 (b^2 = a^2), so |<a,b>| = 8, and of the
+      non-abelian groups of order 8 only Q8 has two cyclic subgroups of
+      order 4; Q8 satisfies the relations.
+    - (p, q^m): let x be the one of prime order (when m = 1, the one of the
+      larger prime) and y the other, of order r^n.  <x,y> is minimal
+      non-cyclic iff xy != yx, y normalizes <x> and x commutes with y^r.
+      If so, <x><y> is a subgroup of order p.r^n (coprime orders), not
+      abelian, with Z = <y^r> central.  A proper subgroup is an r-group,
+      inside a cyclic Sylow subgroup, or holds some x' of order p and then,
+      being proper, an r-part of order below r^n, which lies in the
+      central Z: so it lies in <x'> x Z, abelian with coprime cyclic
+      factors.  Either way it is cyclic.
+      Conversely let K = <x,y> be minimal non-cyclic.  Then xy != yx
+      (commuting elements of coprime orders generate a cyclic group) and x
+      commutes with y^r (else <x, y^r> is a smaller non-cyclic subgroup),
+      so Z = <y^r> is central and K/Z, of order pr, is not abelian (else
+      it is cyclic, and K abelian).  Its Sylow subgroup for the larger
+      prime is normal.  If p > r that is <xZ>; its preimage <x> x Z has
+      <x> as its only Sylow p-subgroup, so <x> is normal in K and y
+      normalizes it.  If r > p it is <yZ>, so <y> is normal in K and x
+      acts on it by an automorphism y -> y^k fixing y^r, i.e. with
+      k = 1 mod r^(n-1).  For n > 1 these automorphisms form a group of
+      order r, so x, of order p, acts trivially, against xy != yx.  So
+      r > p forces n = 1: both orders are prime, and x was chosen as the
+      one of the larger prime, which is the case p > r.
+    All relations are compared on base images, for all b of one a at once.
+
+(d) z lies in K iff it lies in a set known without closing K.  a and b
+    lie in C_G(z), so z centralizes K, and z lies in K iff it lies in
+    Z(K) = K n C_G(K).  For K = C_p x C_p, Z(K) = K, the union of its p + 1
+    subgroups of order p, <a> and the <a^j b>: one lookup of the p products
+    a^j b gives its bit-set.  Otherwise Z(K) lies in a cyclic subgroup of K,
+    <a> for Q8 (Z(Q8) = <a^2>) and <y> for C_p x| C_{q^m} (Z(K) = <y^r>:
+    K/<y^r> is non-abelian of order pr, with trivial center), and a z
+    centralizing K lies in K iff it lies in that cyclic subgroup, whose
+    bit-set is already cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+
+import numpy as np
 
 from .constructors import ActionSpec
 from .fields import factorize, is_prime
@@ -117,30 +148,28 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
 
     For each conjugacy class representative z with non-cyclic W = C_G(z),
     b ranges over the cyclic subgroups of prime-power order in W and a over
-    one of them per W-conjugacy orbit; only minimal non-cyclic <a,b> are
-    sought, so only pairs of orders (p, p), (4, 4) or (p, q^m) are closed,
-    each only up to p^2, 8 or p.q^m elements (cuts (a)-(c) of the module
-    docstring).  W is cyclic iff one of its members has order |W|, so orders
-    and cyclic subgroups are asked for only inside the centralizers scanned,
-    and the representatives are found once per distinct W (once in all for
-    an abelian G).  On failure the witness is the first violation in
-    (z, orbit-rep a, b) order of this reduced scan, each ascending by
-    element index, so it is deterministic and generates a minimal
-    non-cyclic group.
+    one of them per W-conjugacy orbit.  A pair counts only if it generates a
+    minimal non-cyclic K, which the defining relations of K decide (cuts
+    (a)-(c) of the module docstring), and z then lies in K iff it lies in
+    <a><b> for an abelian K, else in the cyclic subgroup of a or b that
+    holds Z(K) (cut (d)): no subgroup is closed.  The relations of each a
+    are tested in one numpy batch over every b of W not yet tested with it.
+    W is cyclic iff one of its members has order |W|, so orders and cyclic
+    subgroups are asked for only inside the centralizers scanned, and the
+    representatives are found once per distinct W (once in all for an
+    abelian G).  The class representatives come one class walk at a time,
+    so a non-member walks only the classes up to its first violating one.
+    On failure the witness is the first violation in (z, orbit-rep a, b)
+    order of this reduced scan, each ascending by element index, so it is
+    deterministic and generates a minimal non-cyclic group.
     """
-    # (prime, exponent) of a prime-power order, else None; for two of them,
-    # |K| of a minimal non-cyclic K they generate (cut (c)), or 0 if none
+    # (prime, exponent) of a prime-power order, else None
     prime_power = cache(lambda o: f[0] if len(f := factorize(o)) == 1 else None)
-
-    @cache
-    def bound(m: int, n: int) -> int:
-        (p, e), (q, f) = prime_power(m), prime_power(n)
-        return (m * n if min(e, f) == 1 and (p != q or m == n)
-                else 8 if m == n == 4 else 0)
-
     abelian = G.is_abelian
-    memo: dict[tuple[int, int], int] = {}
-    scans: dict[int, tuple[list, list]] = {}  # per distinct W: reps, orbit reps
+    # per a: b -> its entry of _relations
+    tested: dict[int, dict[int, int]] = {}
+    # per distinct W: reps, orbit reps, and per orbit rep a its minimal pairs
+    scans: dict[int, tuple[list, list, dict]] = {}
 
     for z in G.class_representatives():
         if z == 0:
@@ -153,40 +182,109 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
                 (i, o) for i in W.indices()
                 if G.cyclic_rep(i) == i and prime_power(o := G.element_order(i))]
             ids = [i for i, _ in reps]
-            scans[wmask] = reps, (ids if abelian or not ids else
-                                  G.cyclic_orbit_reps(ids, W.generating_set()))
-        reps, orbit_reps = scans[wmask]
+            scans[wmask] = reps, (ids if abelian or not ids else G.cyclic_orbit_reps(
+                ids, W.generating_set())), {}
+        reps, orbit_reps, pairs = scans[wmask]
         for a in orbit_reps:
-            oa = G.element_order(a)
-            for b, ob in reps:
-                if a == b or not (kbound := bound(oa, ob)):
-                    continue  # if any bound, b in <a> iff a == b
-                key = (a, b) if a < b else (b, a)
-                kmask = memo.get(key)
-                if kmask is None:
-                    kmask = memo[key] = G.bounded_closure_mask(key, kbound)
-                if (kmask and not (kmask >> z) & 1
-                        and _is_minimal(G, a, b, prime_power)):
-                    return MembershipVerdict(
-                        member=False,
-                        witness=Witness(
-                            (G.element(a), G.element(b)), G.element(z)
-                        ),
-                        method=METHOD_PAIR,
-                    )
+            if a not in pairs:
+                known = tested.setdefault(a, {})
+                known.update(_relations(
+                    G, a, [(b, o) for b, o in reps if b not in known], prime_power))
+                pairs[a] = [(b, known[b]) for b, _ in reps if known[b]]
+            b = next((b for b, kmask in pairs[a] if not (kmask >> z) & 1), None)
+            if b is not None:
+                return MembershipVerdict(
+                    member=False,
+                    witness=Witness((G.element(a), G.element(b)), G.element(z)),
+                    method=METHOD_PAIR,
+                )
     return MembershipVerdict(member=True, witness=None, method=METHOD_PAIR)
 
 
-def _is_minimal(G: FiniteGroup, a: int, b: int, prime_power) -> bool:
-    """Whether <a,b>, within its bound of cut (c), is minimal non-cyclic
-    (the test proved there)."""
-    (p, e), (q, f) = (prime_power(G.element_order(i)) for i in (a, b))
-    if p == q:
-        return e == 1 or G.mul(a, b) != G.mul(b, a)
-    if G.mul(a, b) == G.mul(b, a):
-        return False  # <a,b> is cyclic
-    x, y = (a, G.power(b, q)) if e == 1 else (b, G.power(a, p))
-    return G.mul(x, y) == G.mul(y, x)
+# the forms of a minimal non-cyclic <a,b> (cut (c)): C_p x C_p, Q8, and
+# C_p x| C_{q^m} with x (of order p) = a or x = b
+_ABELIAN, _Q8, _X_A, _X_B = range(4)
+
+
+def _relations(G: FiniteGroup, a: int, reps: list[tuple[int, int]],
+               prime_power) -> dict[int, int]:
+    """For each (b, order of b) of ``reps``: 0 if <a,b> is not minimal
+    non-cyclic, else the bit-set of a subset of K = <a,b> that holds Z(K),
+    so that an element centralizing K lies in K iff it lies there (cut (d)):
+    K itself if K is C_p x C_p, else <a> (Q8, or C_p x| C_{q^m} with x = b)
+    or <b> (x = a).  The relations of cut (c) are compared on base images,
+    in one numpy batch per form for all b."""
+    out = dict.fromkeys((b for b, _ in reps), 0)
+    oa = G.element_order(a)
+    p, e = prime_power(oa)
+    cands, forms = [], []
+    for b, o in reps:
+        q, f = prime_power(o)
+        if b == a:
+            continue
+        if p == q:
+            form = _ABELIAN if o == oa and e == 1 else _Q8 if o == oa == 4 else None
+        else:  # x is the one of prime order, of the larger prime if both are
+            form = _X_A if e == 1 and (f > 1 or p > q) else _X_B if f == 1 else None
+        if form is not None:
+            cands.append(b)
+            forms.append(form)
+    if not cands:
+        return out
+    E, base = G.matrix, G.base
+    B = np.array(cands)[:, None]
+    on_base = E[B, base]  # b(beta), a row per b
+    ab = E[a][on_base]  # (ab)(beta) = a(b(beta))
+    # C_p x C_p needs ab = ba, the other forms ab != ba
+    rows: list[list[int]] = [[], [], [], []]
+    for i, commute in enumerate((ab == E[B, E[a, base]]).all(1).tolist()):
+        if commute == (forms[i] == _ABELIAN):
+            rows[forms[i]].append(i)
+    if rows[_ABELIAN] or rows[_Q8] or rows[_X_A]:
+        powers = E[G.mask_indices(G.cyclic_mask(a))]  # the rows of <a>
+    if t := rows[_ABELIAN]:
+        # C_p x C_p is the union of its p + 1 subgroups of order p: <a> and
+        # the <a^j b>, found in one lookup
+        for i, products in zip(t, G._find(powers[:, on_base[t]]).T.tolist()):
+            mask = G.cyclic_mask(a)
+            for c in products:
+                mask |= G.cyclic_mask(c)
+            out[cands[i]] = mask
+    # Q8 and x = a: b normalizes <a>, i.e. ab = b a^j for some j
+    if t := rows[_Q8] + rows[_X_A]:
+        normal = (E[B[t, None], powers[:, base]] == ab[t, None]).all(2).any(1)
+        normal = dict(zip(t, normal.tolist()))
+    # Q8 also needs a^2 = b^2
+    if t := [i for i in rows[_Q8] if normal[i]]:
+        squares = (E[B[t], on_base[t]] == E[a][E[a, base]]).all(1).tolist()
+        out.update((cands[i], G.cyclic_mask(a)) for i, ok in zip(t, squares) if ok)
+    # x = a, y = b of order q^m: a commutes with b^q, which for m > 1 is
+    # compared on the base and its image under a
+    by_prime: dict[int, list[int]] = {}
+    for i in rows[_X_A]:
+        if normal[i]:
+            q, f = prime_power(G.element_order(cands[i]))
+            if f == 1:
+                out[cands[i]] = G.cyclic_mask(cands[i])
+            else:
+                by_prime.setdefault(q, []).append(i)
+    for q, t in by_prime.items():
+        k, points = len(base), np.concatenate([base, E[a, base]])
+        power = E[B[t], points]
+        for _ in range(q - 1):
+            power = E[B[t], power]
+        ok = (E[a][power[:, :k]] == power[:, k:]).all(1).tolist()
+        out.update((cands[i], G.cyclic_mask(cands[i])) for i, c in zip(t, ok) if c)
+    # x = b, y = a: a normalizes <b> (a^-1 b a generates <b>, which has prime
+    # order), and b commutes with a^p if a has order p^m, m > 1
+    if t := rows[_X_B]:
+        xs = [cands[i] for i in t]
+        ok = np.array([G.cyclic_rep(c) == x for c, x in zip(G.conjugates(xs, a), xs)])
+        if e > 1:
+            ap = G.power(a, p)
+            ok &= (E[B[t], E[ap, base]] == E[ap][on_base[t]]).all(1)
+        out.update((x, G.cyclic_mask(a)) for x, c in zip(xs, ok.tolist()) if c)
+    return out
 
 
 def in_class_X_bruteforce(G: FiniteGroup) -> MembershipVerdict:

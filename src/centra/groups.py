@@ -43,10 +43,10 @@ Closures and orbits are one Python walk, ``_walk``, over index maps
 (``col[x]`` = image of element x), each the lookup result kept as a flat
 int32 buffer (a ``memoryview``, 4 bytes per entry, whose items index as
 Python ints): a subgroup is the walk from the identity over its seeds'
-right-multiplication columns, stopped once it passes a bound where only
-small subgroups are wanted; conjugacy classes and normal closures walk one
-conjugation map per generator of G; and the orbits of cyclic subgroups
-walk those maps restricted to the subgroups' least generators.
+right-multiplication columns; conjugacy classes and normal closures walk
+one conjugation map per generator of G, the classes one at a time; and the
+orbits of cyclic subgroups walk those maps restricted to the subgroups'
+least generators.
 ``Perm`` objects are made only at the boundary, one index at a time with
 ``element(i)``; ``elements`` is a lazily cached tuple of all of them.
 A group keeps only its right-multiplication columns and the per-element
@@ -603,15 +603,9 @@ class FiniteGroup:
     def closure_mask(self, seed: Iterable[int]) -> int:
         """Bit-set of the subgroup generated by the seed element indices:
         the walk from the identity under right multiplication by each seed."""
-        return self.bounded_closure_mask(seed, self.order)
-
-    def bounded_closure_mask(self, seed: Iterable[int], bound: int) -> int:
-        """``closure_mask(seed)`` if that subgroup has at most ``bound``
-        elements, else 0; the walk stops once it has passed ``bound``."""
         seed = list(seed)
         cols = [self.right_mult_column(g) for g in seed]
-        walked = _walk(cols, [0, *seed], bytearray(self.order), bound)
-        return self.mask_of(walked) if len(walked) <= bound else 0
+        return self.mask_of(_walk(cols, [0, *seed], bytearray(self.order)))
 
     def cyclic_masks(self) -> list[int]:
         """For each element index i, the bit-set of <elements[i]>."""
@@ -724,11 +718,16 @@ class FiniteGroup:
             if not seen[x]
         ]
 
-    def class_representatives(self) -> list[int]:
-        """Least element of each conjugacy class, ascending."""
+    def class_representatives(self) -> Iterator[int]:
+        """Least element of each conjugacy class, ascending, each yielded as
+        soon as its class is walked: a caller that stops early walks only
+        the classes up to the one it stops at."""
         maps = self._conjugation_maps()
         seen = bytearray(self.order)
-        return [x for x in range(self.order) if not seen[x] and _walk(maps, [x], seen)]
+        for x in range(self.order):
+            if not seen[x]:
+                _walk(maps, [x], seen)
+                yield x
 
     def cyclic_orbit_reps(self, reps: list[int], gens: list[int]) -> list[int]:
         """Least member of each orbit of <gens>, acting by conjugation, on the
@@ -821,22 +820,16 @@ class FiniteGroup:
         return close_generators(gens, order_cap)
 
 
-def _walk(maps, starts: Iterable[int], seen: bytearray,
-          bound: int | None = None) -> list[int]:
+def _walk(maps, starts: Iterable[int], seen: bytearray) -> list[int]:
     """Breadth-first walk over index maps (``col[x]`` is the image of x):
     marks in ``seen`` every index reached from ``starts`` and not yet marked,
-    and returns those indices in the order reached.  With a ``bound``, the
-    walk stops at the first index it dequeues once it has reached more than
-    ``bound``."""
+    and returns those indices in the order reached."""
     out = []
     for s in starts:
         if not seen[s]:
             seen[s] = 1
             out.append(s)
-    limit = len(seen) if bound is None else bound
     for x in out:  # the list grows while it is read: a queue
-        if len(out) > limit:
-            break
         for col in maps:
             y = col[x]
             if not seen[y]:

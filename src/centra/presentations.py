@@ -684,6 +684,7 @@ def realize(
     pres.check_length(max_cosets)
     tables: dict[str, CosetTable | None] = {}
     orders: dict[str, int | None] = {}
+    defined = 0  # the most cosets an inconclusive enumeration defined
     rel_a, rel_b = pres.relators("A"), pres.relators("B")
     same = len(rel_a) == len(rel_b) and all(map(_same_closure, rel_a, rel_b))
     for conv in CONVENTIONS:
@@ -694,11 +695,12 @@ def realize(
             ct = todd_coxeter(pres, conv, max_cosets)
             tables[conv] = ct
             orders[conv] = ct.live_count()
-        except EnumerationInconclusiveError:
+        except EnumerationInconclusiveError as exc:
             tables[conv] = None
             orders[conv] = None
+            defined = max(defined, exc.defined)
     if all(ct is None for ct in tables.values()):
-        raise EnumerationInconclusiveError(max_cosets, 0)
+        raise EnumerationInconclusiveError(max_cosets, defined)
 
     chosen: str | None = None
     if order_hint is not None:

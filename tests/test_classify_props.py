@@ -4,18 +4,22 @@ Random 2-generator subgroups of S_5, S_6 and S_7, and random small
 semidirect products C_n x| C_m (times a small cyclic group), are checked
 against the literal all-subgroups oracles; witnesses are re-verified and
 must generate a minimal non-cyclic group, and verdicts are compared across
-conjugate generating pairs.  The work of the scan (closures and the
-elements they walk, and the cyclic subgroups it walks) is pinned, so an
-algorithmic regression fails here without any wall-clock check.
+conjugate generating pairs.  The relation test that decides each scanned
+pair is checked against closures of the pair.  The work of the scan
+(closures, lookups, and the cyclic subgroups and class members it walks)
+is pinned, so an algorithmic regression fails here without any wall-clock
+check.
 """
 
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from centra import groups
 from centra.classify import (
+    _relations,
     in_class_C,
     in_class_X,
     in_class_X_bruteforce,
@@ -163,44 +167,121 @@ def test_semidirect_products_match_oracles(params):
     _check_class_c(G)
 
 
-def _scan_work(spec: str, monkeypatch) -> tuple[int, int, int, int]:
-    """The work of one in_class_X scan of a member: closure_mask calls,
-    bounded closures, the elements those walk, and the most elements any of
-    them walks beyond its bound."""
+def _cut_c_order(m: int, n: int) -> int:
+    """|K| of a minimal non-cyclic K generated by elements of prime-power
+    orders m and n (cut (c) of classify): p^2, 8 or p.q^m; 0 if none."""
+    (p, e), (q, f) = factorize(m)[0], factorize(n)[0]
+    if p == q:
+        return m * n if m == n == p else 8 if m == n == 4 else 0
+    return m * n if min(e, f) == 1 else 0
+
+
+def _check_relations(G):
+    """The relation test of every pair of prime-power cyclic subgroups
+    against closures: it accepts (a, b) exactly when <a,b> has the order of
+    cut (c) and is minimal non-cyclic (non-cyclic, with every maximal
+    subgroup cyclic), and the bit-set it returns agrees with <a,b> on
+    C(a) n C(b), where the scan reads it (cut (d))."""
+    prime_power = lambda o: f[0] if len(f := factorize(o)) == 1 else None
+    reps = [(i, G.element_order(i)) for i in range(1, G.order)
+            if G.cyclic_rep(i) == i and prime_power(G.element_order(i))]
+    for a, oa in reps:
+        found = _relations(G, a, reps, prime_power)
+        for b, ob in reps:
+            order = _cut_c_order(oa, ob) if a != b else 0
+            K = SubgroupRef(G, G.closure_mask([a, b])) if order else None
+            minimal = (order and K.order == order and not K.is_cyclic() and all(
+                M.is_cyclic() for M in maximal_subgroups(K.induced_group())))
+            assert bool(found[b]) == bool(minimal), (a, b)
+            if minimal:
+                C = G.centralizer_mask([a, b])
+                assert found[b] & C == K.mask & C, (a, b)
+
+
+@PROPS
+@given(subgroups())
+def test_relations_match_closures_on_subgroups(case):
+    _check_relations(_close(case[0]))
+
+
+@PROPS
+@given(semidirect_params())
+@example((9, 2, 8, 2))
+@example((5, 4, 2, 3))
+@example((3, 4, 2, 5))
+def test_relations_match_closures_on_semidirect_products(params):
+    _check_relations(_semidirect(*params))
+
+
+def _scan_work(spec: str) -> tuple[int, int]:
+    """The work of one in_class_X scan of a member: closure_mask calls (the
+    generating sets of non-cyclic centralizers) and element lookups, each a
+    batch of base images found at once."""
     G = parse_group_spec(spec)
-    calls, walked = 0, []
-    closure, walk = G.closure_mask, groups._walk
+    calls = {"closure": 0, "find": 0}
+    closure, find = G.closure_mask, G._find
 
     def counted_closure(seed):
-        nonlocal calls
-        calls += 1
+        calls["closure"] += 1
         return closure(seed)
 
-    def counted_walk(maps, starts, seen, bound=None):
-        out = walk(maps, starts, seen, bound)
-        if bound is not None and bound < G.order:
-            walked.append((len(out), bound))
+    def counted_find(images):
+        calls["find"] += 1
+        return find(images)
+
+    G.closure_mask, G._find = counted_closure, counted_find
+    assert in_class_X(G).member
+    return calls["closure"], calls["find"]
+
+
+def test_scan_closure_counts_are_pinned():
+    # the scan over all cyclic-subgroup pairs made 656 and 14 closures, and
+    # the prime-power, orbit-reduced scan 227 and 16 full closures; closing
+    # only pairs that can generate a minimal non-cyclic group, each up to its
+    # order, left 93 and 9 bounded closures (1 533 on dihedral:1024).  Now
+    # the relations of each pair decide it, one batch of lookups per orbit
+    # representative, and only the generating sets of non-cyclic
+    # centralizers are closed.  Most lookups are cyclic-subgroup walks.
+    assert _scan_work("dihedral:64") == (6, 64)
+    assert _scan_work("psl2:7") == (3, 28)
+    assert _scan_work("dihedral:1024") == (6, 548)
+
+
+def _class_walks(G, check, monkeypatch) -> tuple[int, object]:
+    """Elements marked by the conjugacy-class walks of one check, and its
+    verdict."""
+    maps, walked = [], []
+    conjugation_maps, walk = G._conjugation_maps, groups._walk
+    G._conjugation_maps = lambda: maps.append(conjugation_maps()) or maps[-1]
+
+    def counted_walk(cols, starts, seen):
+        out = walk(cols, starts, seen)
+        if maps and cols is maps[-1]:
+            walked.append(len(out))
         return out
 
-    G.closure_mask = counted_closure
     monkeypatch.setattr(groups, "_walk", counted_walk)
-    assert in_class_X(G).member
+    verdict = check(G)
     monkeypatch.undo()
-    return (calls, len(walked), sum(n for n, _ in walked),
-            max(n - bound for n, bound in walked))
+    return sum(walked), verdict
 
 
-def test_scan_closure_counts_are_pinned(monkeypatch):
-    # the scan over all cyclic-subgroup pairs made 656 and 14 closures, and
-    # the prime-power, orbit-reduced scan 227 and 16 full closures.  Trying
-    # only pairs that can generate a minimal non-cyclic group, each closed
-    # only up to its order, leaves the closures of the generating sets of
-    # non-cyclic centralizers unbounded, and 93 and 9 bounded closures
-    assert _scan_work("dihedral:64", monkeypatch) == (6, 93, 431, 1)
-    assert _scan_work("psl2:7", monkeypatch) == (3, 9, 39, 1)
-    # dihedral:1024 made 5 635 closures of up to 1 024 elements; now every
-    # bounded closure (two reflections, bound 4) walks at most 5
-    assert _scan_work("dihedral:1024", monkeypatch) == (6, 1533, 7151, 1)
+@pytest.mark.parametrize("spec", ["alt:8", "sym:7", "alt:7", "psl3:3"])
+@pytest.mark.parametrize("check", [in_class_X, in_class_C])
+def test_non_member_walks_classes_up_to_its_violation(spec, check, monkeypatch):
+    # class representatives come one class walk at a time: a non-member
+    # walks the classes up to the one of its witness and no further
+    G = parse_group_spec(spec)
+    walked, verdict = _class_walks(G, check, monkeypatch)
+    assert not verdict.member
+    classes = G.conjugacy_classes()
+    z = G.index_of(verdict.witness.generators[0] if check is in_class_C
+                   else verdict.witness.z)
+    last = next(k for k, c in enumerate(classes) if z in c)
+    assert walked == sum(map(len, classes[: last + 1]))
+    if spec == "alt:8":
+        # the identity and the 112 3-cycles, of 20 160 elements
+        assert walked == 113 and G.order == 20160
 
 
 def _cyclic_walks(spec: str) -> tuple[int, int]:

@@ -163,7 +163,7 @@ def test_conjugacy_classes():
         sizes = [len(c) for c in G.conjugacy_classes()]
         assert sum(sizes) == G.order
         assert all(G.order % s == 0 for s in sizes)
-        reps = G.class_representatives()
+        reps = list(G.class_representatives())
         assert reps == sorted(reps)
 
 
@@ -507,7 +507,7 @@ def test_conjugacy_classes_match_brute_force(name):
 @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
 def test_class_representatives_are_least_class_members(name):
     G = REFERENCE_GROUPS[name]
-    assert G.class_representatives() == [c[0] for c in G.conjugacy_classes()]
+    assert list(G.class_representatives()) == [c[0] for c in G.conjugacy_classes()]
 
 
 # fresh groups, so that each test fills the orders and cyclic masks itself:

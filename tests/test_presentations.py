@@ -151,6 +151,15 @@ def test_realize_auto_raises_when_both_conventions_inconclusive():
         realize(pres, convention="auto", max_cosets=300)
 
 
+def test_realize_auto_reports_the_cosets_defined():
+    # the error carries what the enumerations defined, not 0
+    pres = parse_presentation("gens: a b\na^3 = 1\n")
+    with pytest.raises(EnumerationInconclusiveError) as err:
+        realize(pres, convention="auto", max_cosets=300)
+    assert err.value.defined == 300
+    assert "(300 cosets defined)" in str(err.value)
+
+
 def test_relators_hold_in_realized_group():
     for fname, conv in [
         ("ex_order18.pres", "A"),

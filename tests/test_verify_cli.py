@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -23,6 +24,7 @@ from centra.verify import (
     verify,
 )
 from centra.constructors import cyclic, dihedral, parse_group_spec, symmetric
+from centra.perms import parse_cycles, perms_from_cycles
 
 # the module, which the package's ``verify`` function shadows
 verify_module = importlib.import_module("centra.verify")
@@ -386,6 +388,34 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["member"] is True
+
+
+def test_cli_check_x_of_a_large_group_stays_small():
+    # alt:9 (181 440 elements) is decided by pair relations, with no
+    # right-multiplication column per scanned pair: its peak RSS was 253 MB
+    # when the scan closed each pair, and is about 90 MB now
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "centra.cli", "check-x", "alt:9"],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    # wait4 gives this child's own peak RSS, unmixed with other children's
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    out = json.loads(proc.stdout.read())
+    proc.stdout.close()
+    assert proc.returncode == 0
+    assert out["member"] is False
+    G = parse_group_spec("alt:9")
+    w = out["witness"]
+    verdict = classify.MembershipVerdict(
+        member=False,
+        witness=classify.Witness(
+            tuple(perms_from_cycles(w["generators"], 9)), parse_cycles(w["z"], 9)),
+        method=out["method"],
+    )
+    assert classify.verify_witness(G, verdict, "X")
+    assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
 
 
 def test_manifest_relative_presentation_spec(tmp_path):
