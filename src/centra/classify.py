@@ -153,7 +153,7 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
     (a)-(c) of the module docstring), and z then lies in K iff it lies in
     <a><b> for an abelian K, else in the cyclic subgroup of a or b that
     holds Z(K) (cut (d)): no subgroup is closed.  The relations of each a
-    are tested in one numpy batch over every b of W not yet tested with it.
+    are tested in one numpy batch over every b of W, once per distinct W.
     W is cyclic iff one of its members has order |W|, so orders and cyclic
     subgroups are asked for only inside the centralizers scanned, and the
     representatives are found once per distinct W (once in all for an
@@ -166,8 +166,6 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
     # (prime, exponent) of a prime-power order, else None
     prime_power = cache(lambda o: f[0] if len(f := factorize(o)) == 1 else None)
     abelian = G.is_abelian
-    # per a: b -> its entry of _relations
-    tested: dict[int, dict[int, int]] = {}
     # per distinct W: reps, orbit reps, and per orbit rep a its minimal pairs
     scans: dict[int, tuple[list, list, dict]] = {}
 
@@ -187,10 +185,8 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
         reps, orbit_reps, pairs = scans[wmask]
         for a in orbit_reps:
             if a not in pairs:
-                known = tested.setdefault(a, {})
-                known.update(_relations(
-                    G, a, [(b, o) for b, o in reps if b not in known], prime_power))
-                pairs[a] = [(b, known[b]) for b, _ in reps if known[b]]
+                pairs[a] = [(b, kmask) for b, kmask in
+                            _relations(G, a, reps, prime_power).items() if kmask]
             b = next((b for b, kmask in pairs[a] if not (kmask >> z) & 1), None)
             if b is not None:
                 return MembershipVerdict(

@@ -165,8 +165,10 @@ class _Chain:
     """A stabilizer chain of the group generated by some permutations, built
     by the deterministic Schreier-Sims algorithm.
 
-    A level with a list transversal tests and sifts its Schreier generators
-    one at a time; a level with a numpy transversal does so in blocks.
+    A level with a list transversal tests its Schreier generators one at a
+    time; a level with a numpy transversal tests them in blocks.  Either way
+    the few that are not already the identity are sifted one at a time, as
+    lists, by ``_sift_row``.
     """
 
     def __init__(self, gens: Sequence[Perm], order_cap: int):
@@ -329,12 +331,12 @@ class _Chain:
                 bad = np.flatnonzero((X != U[q]).any(axis=1))
                 if len(bad):
                     inverse = self._inverse(L).reshape(-1)
-                    H = inverse.take(q[bad, None] * d + X[bad])
-                    found = self._sift(H, level + 1)
-                    if found is not None:
-                        h, drop, k = found
-                        L.tested = lo + int(bad[k]) + 1
-                        return h, drop
+                    H = inverse.take(q[bad, None] * d + X[bad]).tolist()
+                    for k, h in zip(bad.tolist(), H):
+                        found = self._sift_row(h, level + 1)
+                        if found is not None:
+                            L.tested = lo + k + 1
+                            return found
         # a generator that sifted to the identity stays in the group below
         L.tested = len(L.pairs)
         return None
@@ -352,24 +354,6 @@ class _Chain:
             w = self._inverse_row(L, r)
             h = [w[x] for x in h]
         return None if h == self.identity else (h, len(self.levels))
-
-    def _sift(self, H: np.ndarray, top: int) -> tuple[list[int], int, int] | None:
-        """``_sift_row`` for the rows of H at once: the first row whose
-        residue is not the identity, as (residue, level, row)."""
-        found, d = None, self.degree
-        for level in range(top, len(self.levels)):
-            L = self.levels[level]
-            r = L.pos[H[:, L.point]]
-            out = r < 0
-            if out.any():
-                k = int(out.argmax())
-                found, H, r = (H[k].tolist(), level, k), H[:k], r[:k]
-            H = self._inverse(L).reshape(-1).take(r[:, None] * d + H)
-        moved = (H != np.arange(d)).any(axis=1)
-        if moved.any():
-            k = int(moved.argmax())
-            found = (H[k].tolist(), len(self.levels), k)
-        return found
 
     def elements(self) -> np.ndarray:
         """Every element once: the products u_0 * u_1 * ... of one row from

@@ -26,9 +26,9 @@ coset limit before any relator is expanded.
 Enumeration is HLT-style over the trivial subgroup: scan relators, define
 cosets to fill gaps, process coincidences through a union-find queue.
 With lookahead: once every live row from the current coset up is defined,
-each relator is traced from all those cosets at once with numpy, and the
-scans of the (relator, coset) pairs that already close are skipped.  They
-would change nothing, so the table is exactly that of plain HLT.
+each relator is traced from all those cosets at once with numpy.  If every
+one closes, the scans left would change nothing, so the enumeration stops
+there with exactly the table of plain HLT.
 A closed table gives the regular representation, so the live-coset count is
 the group order; ``group_from_table`` reads its rows straight off the table,
 the row of the element sending coset 0 to coset k at index k.  That row
@@ -518,14 +518,12 @@ def todd_coxeter(
     the test costs O(cosets x columns) over the whole run.  When there is
     none, every live row is complete (rows below alpha were filled in their
     turn), and each relator is traced from all live cosets from alpha up at
-    once, with numpy gathers over the columns.  The scalar scan is then
-    skipped for each (relator, coset) pair found closed.  Skipping is
-    exact: a closed scan neither defines nor deduces anything, and
-    coincidence processing maps a closed path to a closed path, so the pair
-    stays closed.  So the definition order, ``p`` and ``cols`` are those of
-    plain HLT.  If every pair closes, the steps left would change nothing
-    and the loop stops; otherwise the next lookahead waits until new cosets
-    have been defined.
+    once, with numpy gathers over the columns.  If every (relator, coset)
+    pair closes, the steps left would change nothing (a closed scan neither
+    defines nor deduces anything, and no row is left to fill), so the loop
+    stops there and the definition order, ``p`` and ``cols`` are those of
+    plain HLT.  Otherwise every scan runs as usual, and the next lookahead
+    waits until new cosets have been defined.
 
     Raises BudgetError before expanding any relator if they hold more than
     ``max_cosets`` letters in all.  Returns a closed table.  Raises
@@ -537,7 +535,6 @@ def todd_coxeter(
     ct = CosetTable(pres.num_generators, max_cosets)
     relators = [ct.compile(word) for word in pres.relators(convention)]
     p, cols = ct.p, ct.cols
-    closed = [bytearray() for _ in relators]  # closed[r][k]: r closes at k
     traced = 0  # cosets defined at the last lookahead
     gap = 0
     alpha = 0
@@ -548,13 +545,10 @@ def todd_coxeter(
             while gap < n and (p[gap] != gap or min(c[gap] for c in cols) >= 0):
                 gap += 1
             if gap == n > traced:
-                closed, finished = _closed_pairs(ct, relators, alpha)
-                if finished:
+                if _closed_pairs(ct, relators, alpha):
                     break
                 traced = n
-            for rel, done in zip(relators, closed):
-                if alpha < len(done) and done[alpha]:
-                    continue
+            for rel in relators:
                 ct.scan_and_fill(alpha, rel)
                 if p[alpha] != alpha:
                     break
@@ -568,34 +562,25 @@ def todd_coxeter(
     return ct
 
 
-def _closed_pairs(
-    ct: CosetTable, relators: list, start: int
-) -> tuple[list[bytearray], bool]:
-    """Per relator, a byte per defined coset: 1 where the relator closes
-    from a live coset at or above ``start``; and whether every relator
-    closes at every such coset.  Every live row must be complete; the trace
-    runs on the live rows alone, renumbered in order."""
-    n = len(ct.p)
+def _closed_pairs(ct: CosetTable, relators: list, start: int) -> bool:
+    """Whether every relator closes from every live coset at or above
+    ``start``.  Every live row must be complete; the trace runs on the live
+    rows alone, renumbered in order."""
     live = ct.live_cosets()
-    new_index = np.full(n, -1)
+    new_index = np.full(len(ct.p), -1)
     new_index[live] = np.arange(len(live))
     entries = np.array([[c[k] for k in live] for c in ct.cols])
     table = new_index[entries]
     if (entries < 0).any() or (table < 0).any():
         raise InvariantError("lookahead needs every live row complete and live")
-    live = np.array(live)
     starts = np.arange(np.searchsorted(live, start), len(live))
-    marks, finished = [], True
     for _fwd, _bwd, nums in relators:
         ends = starts
         for c in nums:
             ends = table[c].take(ends)
-        hits = ends == starts
-        finished = finished and bool(hits.all())
-        mark = bytearray(n)
-        np.frombuffer(mark, dtype=np.uint8)[live[starts[hits]]] = 1
-        marks.append(mark)
-    return marks, finished
+        if (ends != starts).any():
+            return False
+    return True
 
 
 @dataclass
@@ -659,26 +644,23 @@ def realize(
 ) -> RealizedPresentation:
     """Realize a presentation as a permutation group.
 
-    With convention "auto", both commutator conventions are enumerated and
-    the one matching ``order_hint`` wins (ties go to A); without a hint the
-    larger resulting order wins, treating collapse as the sign of a wrong
-    convention.  When each of B's relators is the matching one of A's up to
-    cyclic rotation or inversion (no bracket changes them, or only as
-    [a,b] = 1 does), the two normal closures are equal, so A's table stands
-    for B as well and the presentation is enumerated once.  Raises
+    Convention "A" or "B" enumerates that one alone.  With convention
+    "auto", both commutator conventions are enumerated and the one matching
+    ``order_hint`` wins (ties go to A); without a hint the larger resulting
+    order wins, treating collapse as the sign of a wrong convention.  When
+    each of B's relators is the matching one of A's up to cyclic rotation or
+    inversion (no bracket changes them, or only as [a,b] = 1 does), the two
+    normal closures are equal, so A's table stands for B as well and the
+    presentation is enumerated once.  Raises
     BudgetError before expanding any relator if they hold more than
     ``max_cosets`` letters in all, and EnumerationInconclusiveError if every
     attempted convention is inconclusive.
     """
-    if convention in CONVENTIONS:
-        ct = todd_coxeter(pres, convention, max_cosets)
-        return RealizedPresentation(
-            group=group_from_table(ct, order_cap),
-            convention=convention,
-            orders={convention: ct.live_count()},
-            hint=order_hint,
-        )
-    if convention != "auto":
+    if convention == "auto":
+        conventions = CONVENTIONS
+    elif convention in CONVENTIONS:
+        conventions = (convention,)
+    else:
         raise ValueError(f"convention must be A, B, or auto, not {convention!r}")
 
     pres.check_length(max_cosets)
@@ -687,8 +669,8 @@ def realize(
     defined = 0  # the most cosets an inconclusive enumeration defined
     rel_a, rel_b = pres.relators("A"), pres.relators("B")
     same = len(rel_a) == len(rel_b) and all(map(_same_closure, rel_a, rel_b))
-    for conv in CONVENTIONS:
-        if same and conv != "A":
+    for conv in conventions:
+        if same and conv != conventions[0]:
             tables[conv], orders[conv] = tables["A"], orders["A"]
             continue
         try:
@@ -704,12 +686,12 @@ def realize(
 
     chosen: str | None = None
     if order_hint is not None:
-        matching = [c for c in CONVENTIONS if orders[c] == order_hint]
+        matching = [c for c in conventions if orders[c] == order_hint]
         if matching:
             chosen = matching[0]
     if chosen is None:
-        defined = [c for c in CONVENTIONS if orders[c] is not None]
-        chosen = max(defined, key=lambda c: (orders[c], c == "A"))
+        conclusive = [c for c in conventions if orders[c] is not None]
+        chosen = max(conclusive, key=lambda c: (orders[c], c == "A"))
     return RealizedPresentation(
         group=group_from_table(tables[chosen], order_cap),
         convention=chosen,

@@ -6,8 +6,8 @@ table's closed formula), and a module-level function with plain arguments
 that builds the group and computes the outcome.  Making the records builds
 no group.  One sequential runner times each instance's build and check
 together; instances above ``max_order`` are left out, and instances that hit
-the closure or subgroup caps are reported as skipped, not failed.  Reports
-sort by instance id.
+the closure or subgroup caps, a budget or the coset limit are reported as
+skipped, not failed, each on its own.  Reports sort by instance id.
 """
 
 from __future__ import annotations
@@ -37,7 +37,14 @@ from .constructors import (
     psl3_witness_pair,
     semidirect,
 )
-from .errors import CentraError, GroupTooLargeError, InvariantError, SubgroupCapError
+from .errors import (
+    BudgetError,
+    CentraError,
+    EnumerationInconclusiveError,
+    GroupTooLargeError,
+    InvariantError,
+    SubgroupCapError,
+)
 from .fields import factorize, gf, is_prime
 from .groups import FiniteGroup, close_generators
 from .lattice import all_subgroups, normalizer, sylow_subgroup
@@ -99,7 +106,8 @@ def _run(
         try:
             computed, witness = inst.run(*inst.args)
             passed = computed == inst.expected
-        except (GroupTooLargeError, SubgroupCapError) as exc:
+        except (GroupTooLargeError, SubgroupCapError, BudgetError,
+                EnumerationInconclusiveError) as exc:
             computed, witness, passed = f"skipped: {exc}", None, None
         reports.append(TheoremReport(
             instance=inst.id,

@@ -1,11 +1,13 @@
 """Smoke tests of the benchmark worker: one traced pair-scan pass, and one
-untraced large-perm pass.
+untraced large-perm and one untraced regular pass.
 
 The traced pass wraps ``FiniteGroup.closure_mask`` with a one-argument
 counter, so it fails if the classifier passes it anything else.  The
 untraced pass runs ``in_class_X`` on fresh groups of order 2448-20160, which
 walk only the cyclic subgroups their scans ask for, and the worker checks
-every verdict and witness independently of centra.  No ``--spans`` file is
+every verdict and witness independently of centra.  The untraced regular
+pass realizes presentations with Todd-Coxeter, and the worker checks each
+realized group's order and verdict the same way.  No ``--spans`` file is
 written.
 """
 
@@ -42,3 +44,7 @@ def test_traced_pair_scan_pass_has_no_failures():
 
 def test_untraced_large_perm_pass_has_no_failures():
     _worker_pass("large-perm", "pass")
+
+
+def test_untraced_regular_pass_has_no_failures():
+    _worker_pass("regular", "pass")

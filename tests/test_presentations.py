@@ -151,11 +151,12 @@ def test_realize_auto_raises_when_both_conventions_inconclusive():
         realize(pres, convention="auto", max_cosets=300)
 
 
-def test_realize_auto_reports_the_cosets_defined():
+@pytest.mark.parametrize("conv", ["A", "B", "auto"])
+def test_realize_auto_reports_the_cosets_defined(conv):
     # the error carries what the enumerations defined, not 0
     pres = parse_presentation("gens: a b\na^3 = 1\n")
     with pytest.raises(EnumerationInconclusiveError) as err:
-        realize(pres, convention="auto", max_cosets=300)
+        realize(pres, convention=conv, max_cosets=300)
     assert err.value.defined == 300
     assert "(300 cosets defined)" in str(err.value)
 
@@ -363,6 +364,26 @@ def test_lookahead_skips_scans_that_close(monkeypatch):
     ct = todd_coxeter(parse_presentation(GENERATED_PRESENTATIONS["cyclic-2000"]), "A")
     assert scans == [0]
     assert ct.live_count() == 2000
+
+
+@pytest.mark.parametrize("conv", ["A", "B"])
+def test_a_lookahead_that_does_not_finish(conv, monkeypatch):
+    # C2: the one lookahead, from coset 7 with 56 cosets defined, finds a
+    # relator that does not close, so the enumeration goes on scanning and
+    # ends with 2 live cosets and no further definition
+    lookaheads = []
+    real = presentations._closed_pairs
+
+    def traced(ct, relators, start):
+        lookaheads.append((len(ct.p), start, real(ct, relators, start)))
+        return lookaheads[-1][-1]
+
+    monkeypatch.setattr(presentations, "_closed_pairs", traced)
+    pres = parse_presentation("gens: a b\na^7 = 1\nb^8 = 1\nb b = 1\nb a b = 1\n")
+    ct = todd_coxeter(pres, conv)
+    assert lookaheads == [(56, 7, False)]
+    assert (len(ct.p), ct.live_count()) == (56, 2)
+    assert group_from_table(ct).order == 2
 
 
 SMALL_PRESENTATIONS = [

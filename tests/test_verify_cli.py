@@ -25,6 +25,7 @@ from centra.verify import (
 )
 from centra.constructors import cyclic, dihedral, parse_group_spec, symmetric
 from centra.perms import parse_cycles, perms_from_cycles
+from centra.presentations import parse_presentation, realize
 
 # the module, which the package's ``verify`` function shadows
 verify_module = importlib.import_module("centra.verify")
@@ -127,6 +128,41 @@ def test_build_over_cap_is_skipped(tmp_path, monkeypatch):
     assert result.reports[0].computed.startswith("skipped: ")
     assert result.summary() == "1 instances: 0 passed, 0 failed, 1 skipped"
     assert result.exit_code == 0
+
+
+def _inconclusive_realization():
+    # gens: a b / a^3 = 1 is infinite, so 300 cosets run out
+    realize(parse_presentation("gens: a b\na^3 = 1\n"), "A", max_cosets=300)
+
+
+def test_budget_and_coset_limit_are_skipped_one_by_one(tmp_path, monkeypatch, capsys):
+    # cyclic:9000 would need a 324 MB element matrix (BudgetError), and the
+    # sweep's one instance hits its coset limit (EnumerationInconclusiveError):
+    # each is reported as skipped, and dihedral:12 is still checked
+    inconclusive = Instance("psl2-normalizer/infinite", "member", None,
+                            _inconclusive_realization)
+    monkeypatch.setitem(verify_module._SWEEPS, "psl2-normalizer",
+                        lambda: [inconclusive])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([
+        {"id": "d12", "theorem": "p-dihedral", "spec": "dihedral:12",
+         "expect": "non-member"},
+        {"id": "c9000", "theorem": "t-abelian", "spec": "cyclic:9000",
+         "expect": "member"},
+        {"theorem": "psl2-normalizer"},
+    ]))
+    report_file = tmp_path / "report.jsonl"
+    assert main(["run-manifest", str(path), "--report", str(report_file)]) == 0
+    reports = [json.loads(line) for line in report_file.read_text().splitlines()]
+    assert [(r["instance"], r["pass"], r["skipped"]) for r in reports] == [
+        ("c9000", None, True), ("d12", True, False),
+        ("psl2-normalizer/infinite", None, True)]
+    assert reports[0]["computed"].startswith(
+        "skipped: element storage budget (bytes) exceeded: 324000000 needed")
+    assert reports[2]["computed"] == (
+        "skipped: coset enumeration inconclusive: table limit 300 reached "
+        "(300 cosets defined)")
+    assert "3 instances: 1 passed, 0 failed, 2 skipped" in capsys.readouterr().err
 
 
 def test_failing_reports_embed_witness():
