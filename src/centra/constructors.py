@@ -370,6 +370,14 @@ class ActionSpec:
                   order_cap: int = DEFAULT_ORDER_CAP) -> "ActionSpec":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise InvalidActionError("action data must be a JSON object")
+        for key, kind, word in (("acting", str, "string"), ("target", str, "string"),
+                                ("images", dict, "object")):
+            if not isinstance(data.get(key), kind):
+                raise InvalidActionError(f"action data needs {key!r} as a JSON {word}")
+        if not all(isinstance(v, list) for v in data["images"].values()):
+            raise InvalidActionError("each image in action data must be a JSON list")
         acting = parse_group_spec(data["acting"], base_dir, order_cap)
         target = parse_group_spec(data["target"], base_dir, order_cap)
         images = {int(k): Perm(v) for k, v in data["images"].items()}
@@ -607,7 +615,7 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
         if suffix:
             if suffix in ("A", "B"):
                 convention = suffix
-            elif suffix.startswith("auto"):
+            elif suffix == "auto" or suffix.startswith("auto:"):
                 _, _, h = suffix.partition(":")
                 if h:
                     hint = int(h)

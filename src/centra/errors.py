@@ -49,12 +49,12 @@ class EnumerationInconclusiveError(CentraError):
     the enumeration gave up at the configured coset bound.
     """
 
-    def __init__(self, max_cosets: int, defined: int):
+    def __init__(self, limit: int, defined: int):
         super().__init__(
-            f"coset enumeration inconclusive: table limit {max_cosets} reached "
+            f"coset enumeration inconclusive: table limit {limit} reached "
             f"({defined} cosets defined)"
         )
-        self.max_cosets = max_cosets
+        self.limit = limit
         self.defined = defined
 
 

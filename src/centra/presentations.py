@@ -19,21 +19,24 @@ standard conventions
 
 give different groups; ``realize`` can run both and pick whichever matches
 an expected-order hint.  Where B's relators are A's up to cyclic rotation
-or inversion, the groups are equal and one enumeration serves both.  The
-total relator length is computed from the word trees and bounded by the
-coset limit before any relator is expanded.
+or inversion, the groups are equal and one enumeration serves both.
 
 Enumeration is HLT-style over the trivial subgroup: scan relators, define
 cosets to fill gaps, process coincidences through a union-find queue.
 With lookahead: once every live row from the current coset up is defined,
 each relator is traced from all those cosets at once with numpy.  If every
 one closes, the scans left would change nothing, so the enumeration stops
-there with exactly the table of plain HLT.
-A closed table gives the regular representation, so the live-coset count is
-the group order; ``group_from_table`` reads its rows straight off the table,
-the row of the element sending coset 0 to coset k at index k.  That row
-starts with k, so ``FiniteGroup``, which decides the canonical order, finds
-the rows already in it and copies nothing.
+there with exactly the table of plain HLT.  The coset limit is the fixed
+constant ``MAX_COSETS``; the total relator length is computed from the word
+trees and bounded by it before any relator is expanded.
+
+``CosetTable.live_table`` renumbers the live cosets in ascending order; the
+lookahead, the closure check at the end and ``group_from_table`` all read
+it.  A closed table gives the regular representation, so the live-coset
+count is the group order; ``group_from_table`` builds the row of the
+element sending coset 0 to coset k at index k.  That row starts with k, so
+``FiniteGroup``, which decides the canonical order, finds the rows already
+in it and copies nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ from .errors import (
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, check_order
 from .perms import Perm
 
-DEFAULT_MAX_COSETS = 1_000_000
+# an enumeration that would define more cosets than this is inconclusive;
+# read at call time, and it also bounds the total relator length
+MAX_COSETS = 1_000_000
 # brackets and parentheses may nest at most this deep in one word.  The
 # parser and the word-tree walks (_flatten, _length) recurse once or twice
 # per level, so the bound keeps them far below Python's recursion limit;
@@ -369,11 +374,8 @@ class CosetTable:
     compiled to column lists (``compile``) stays valid for the whole run.
     """
 
-    def __init__(self, num_generators: int, max_cosets: int = DEFAULT_MAX_COSETS):
-        self.num_generators = num_generators
-        self.ncols = 2 * num_generators
-        self.max_cosets = max_cosets
-        self.cols: list[list[int]] = [[-1] for _ in range(self.ncols)]
+    def __init__(self, num_generators: int):
+        self.cols: list[list[int]] = [[-1] for _ in range(2 * num_generators)]
         self.p: list[int] = [0]
 
     @property
@@ -406,8 +408,8 @@ class CosetTable:
 
     def define(self, alpha: int, col: int) -> int:
         beta = len(self.p)
-        if beta >= self.max_cosets:
-            raise EnumerationInconclusiveError(self.max_cosets, beta)
+        if beta >= MAX_COSETS:
+            raise EnumerationInconclusiveError(MAX_COSETS, beta)
         for c in self.cols:
             c.append(-1)
         self.p.append(beta)
@@ -479,37 +481,24 @@ class CosetTable:
     def live_count(self) -> int:
         return sum(1 for i in range(len(self.p)) if self.p[i] == i)
 
-    def live_cosets(self) -> list[int]:
-        return [i for i in range(len(self.p)) if self.p[i] == i]
-
-    def is_closed(self) -> bool:
-        p = self.p
-        live = self.live_cosets()
-        return all(c[i] >= 0 and p[c[i]] == c[i] for c in self.cols for i in live)
-
-    def generator_perms(self) -> list[Perm]:
-        """Permutations of the live cosets, renumbered by definition order.
-
-        The table's natural coset action is a right action; the inverse
-        column is taken so that generator -> permutation is a homomorphism
-        under the apply-right-first composition, and relator words multiply
-        to the identity permutation.
-        """
-        live = self.live_cosets()
-        new_index = {c: k for k, c in enumerate(live)}
-        perms = []
-        for g in range(self.num_generators):
-            col = self.cols[2 * g + 1]
-            images = [new_index[self.rep(col[c])] for c in live]
-            perms.append(Perm(images))
-        return perms
+    def live_table(self) -> tuple[list[int], np.ndarray]:
+        """The live cosets, ascending, and the table on them renumbered in
+        that order: ``table[c][k]`` is where column c sends the k-th live
+        coset.  Raises InvariantError unless every live row is complete and
+        points at live cosets."""
+        live = [k for k, root in enumerate(self.p) if root == k]
+        # one slot past the end, so that an undefined entry (-1) maps to -1
+        new_index = np.full(len(self.p) + 1, -1)
+        new_index[live] = np.arange(len(live))
+        # only the live rows are read: most defined rows may be dead
+        table = new_index[np.array([[c[k] for k in live] for c in self.cols])]
+        if (table < 0).any():
+            raise InvariantError("a live row of the coset table is incomplete "
+                                 "or points at a dead coset")
+        return live, table
 
 
-def todd_coxeter(
-    pres: Presentation,
-    convention: str,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-) -> CosetTable:
+def todd_coxeter(pres: Presentation, convention: str) -> CosetTable:
     """HLT enumeration over the trivial subgroup, with lookahead.
 
     Each live coset alpha in turn is scanned with every relator, then its
@@ -526,13 +515,14 @@ def todd_coxeter(
     waits until new cosets have been defined.
 
     Raises BudgetError before expanding any relator if they hold more than
-    ``max_cosets`` letters in all.  Returns a closed table.  Raises
-    EnumerationInconclusiveError at the coset limit (not a proof of
+    ``MAX_COSETS`` letters in all.  Returns a closed table: the closing
+    ``live_table`` call raises InvariantError otherwise.  Raises
+    EnumerationInconclusiveError at ``MAX_COSETS`` cosets (not a proof of
     infinitude); total collapse to one coset is a valid result describing
     the trivial group.
     """
-    pres.check_length(max_cosets)
-    ct = CosetTable(pres.num_generators, max_cosets)
+    pres.check_length(MAX_COSETS)
+    ct = CosetTable(pres.num_generators)
     relators = [ct.compile(word) for word in pres.relators(convention)]
     p, cols = ct.p, ct.cols
     traced = 0  # cosets defined at the last lookahead
@@ -557,8 +547,7 @@ def todd_coxeter(
                     if c[alpha] < 0:
                         ct.define(alpha, col)
         alpha += 1
-    if not ct.is_closed():
-        raise InvariantError("coset table is not closed after enumeration")
+    ct.live_table()  # raises unless the table is closed
     return ct
 
 
@@ -566,13 +555,7 @@ def _closed_pairs(ct: CosetTable, relators: list, start: int) -> bool:
     """Whether every relator closes from every live coset at or above
     ``start``.  Every live row must be complete; the trace runs on the live
     rows alone, renumbered in order."""
-    live = ct.live_cosets()
-    new_index = np.full(len(ct.p), -1)
-    new_index[live] = np.arange(len(live))
-    entries = np.array([[c[k] for k in live] for c in ct.cols])
-    table = new_index[entries]
-    if (entries < 0).any() or (table < 0).any():
-        raise InvariantError("lookahead needs every live row complete and live")
+    live, table = ct.live_table()
     starts = np.arange(np.searchsorted(live, start), len(live))
     for _fwd, _bwd, nums in relators:
         ends = starts
@@ -605,18 +588,26 @@ def group_from_table(ct: CosetTable,
                      order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """The regular representation that a closed table gives.
 
+    The generators permute the live cosets, renumbered in ascending order
+    (``CosetTable.live_table``).  The table's coset action is a right
+    action, so each generator is read off its inverse column: then
+    generator -> permutation is a homomorphism under the apply-right-first
+    composition, and relator words multiply to the identity permutation.
+
     Row k of the element matrix is the element that sends coset 0 to coset
     k.  One walk from coset 0 fills the rows: if row k is the element x and
     a is a generator permutation, then a * x (x applied first) sends 0 to
     a[k], so row a[k] is a[row k].  Every row k starts with k, so
     ``FiniteGroup`` finds them in its canonical order and moves none; there
     is no row set.  The order cap and the element-storage budget (n x n x 4
-    bytes) are checked before anything is built.
+    bytes) are checked before the matrix is built.
     """
-    n = ct.live_count()
+    _live, table = ct.live_table()
+    n = table.shape[1]
     check_order(n, n, order_cap)
-    gens = ct.generator_perms()
-    perms = [(g.images, np.array(g.images, dtype=np.int32)) for g in gens]
+    columns = table[1::2]
+    gens = [Perm(c.tolist()) for c in columns]
+    perms = [(g.images, c.astype(np.int32)) for g, c in zip(gens, columns)]
     matrix = np.empty((n, n), dtype=np.int32)
     matrix[0] = np.arange(n)
     reached = [0]
@@ -639,7 +630,6 @@ def realize(
     pres: Presentation,
     convention: str = "auto",
     order_hint: int | None = None,
-    max_cosets: int = DEFAULT_MAX_COSETS,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> RealizedPresentation:
     """Realize a presentation as a permutation group.
@@ -651,10 +641,10 @@ def realize(
     each of B's relators is the matching one of A's up to cyclic rotation or
     inversion (no bracket changes them, or only as [a,b] = 1 does), the two
     normal closures are equal, so A's table stands for B as well and the
-    presentation is enumerated once.  Raises
-    BudgetError before expanding any relator if they hold more than
-    ``max_cosets`` letters in all, and EnumerationInconclusiveError if every
-    attempted convention is inconclusive.
+    presentation is enumerated once.  Raises BudgetError before expanding
+    any relator if they hold more than ``MAX_COSETS`` letters in all, and
+    EnumerationInconclusiveError if every attempted convention reaches
+    ``MAX_COSETS`` cosets.
     """
     if convention == "auto":
         conventions = CONVENTIONS
@@ -663,7 +653,7 @@ def realize(
     else:
         raise ValueError(f"convention must be A, B, or auto, not {convention!r}")
 
-    pres.check_length(max_cosets)
+    pres.check_length(MAX_COSETS)
     tables: dict[str, CosetTable | None] = {}
     orders: dict[str, int | None] = {}
     defined = 0  # the most cosets an inconclusive enumeration defined
@@ -674,7 +664,7 @@ def realize(
             tables[conv], orders[conv] = tables["A"], orders["A"]
             continue
         try:
-            ct = todd_coxeter(pres, conv, max_cosets)
+            ct = todd_coxeter(pres, conv)
             tables[conv] = ct
             orders[conv] = ct.live_count()
         except EnumerationInconclusiveError as exc:
@@ -682,7 +672,7 @@ def realize(
             orders[conv] = None
             defined = max(defined, exc.defined)
     if all(ct is None for ct in tables.values()):
-        raise EnumerationInconclusiveError(max_cosets, defined)
+        raise EnumerationInconclusiveError(MAX_COSETS, defined)
 
     chosen: str | None = None
     if order_hint is not None:

@@ -330,13 +330,12 @@ def _sweep_class_c() -> list[Instance]:
 def _lemma_family(spec: str) -> tuple[str, None]:
     G = parse_group_spec(spec)
     subs = all_subgroups(G)
+    noncyclic = [T.mask for T in subs if not T.is_cyclic()]
     disagreements = []
     for S in subs:
         zmask = G.centralizer_mask(S.generating_set()) & S.mask
         containment = all(
-            (zmask & ~T.mask) == 0
-            for T in subs
-            if (T.mask & S.mask) == T.mask and not T.is_cyclic()
+            (zmask & ~t) == 0 for t in noncyclic if (t & S.mask) == t
         )
         member = classify.in_class_X(S.induced_group()).member
         if containment != member:
@@ -715,10 +714,27 @@ def bundled_manifest_path() -> Path:
 
 
 def manifest_instances(path: str | Path) -> list[Instance]:
-    """The records of a manifest: sweeps expand, spot entries check one spec."""
+    """The records of a manifest: sweeps expand, spot entries check one spec.
+
+    A manifest is a JSON list of objects.  Each has a "theorem" id; a spot
+    entry adds a "spec" and an "expect", and may add an "id", all strings.
+    Raises CentraError, naming the entry (counted from 1), on any other
+    shape."""
     path = Path(path)
+    entries = json.loads(path.read_text())
+    if not isinstance(entries, list):
+        raise CentraError(f"manifest {path} must hold a JSON list of entries")
     out: list[Instance] = []
-    for entry in json.loads(path.read_text()):
+    for k, entry in enumerate(entries, 1):
+        if not isinstance(entry, dict):
+            raise CentraError(f"manifest entry {k} must be a JSON object")
+        required = ("theorem", "spec", "expect") if "spec" in entry else ("theorem",)
+        missing = [key for key in required if key not in entry]
+        if missing:
+            raise CentraError(f"manifest entry {k} has no {missing[0]!r}")
+        for key in ("theorem", "spec", "expect", "id"):
+            if not isinstance(entry.get(key, ""), str):
+                raise CentraError(f"manifest entry {k}: {key!r} must be a string")
         theorem = entry["theorem"]
         if theorem not in _SWEEPS:
             raise CentraError(f"unknown theorem id {theorem!r} in manifest")

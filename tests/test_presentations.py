@@ -139,24 +139,27 @@ def test_group_from_table_keeps_order_cap():
     assert group_from_table(ct, order_cap=12).order == 12
 
 
-def test_enumeration_limit_is_inconclusive():
+def test_enumeration_limit_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(presentations, "MAX_COSETS", 500)
     pres = parse_presentation("gens: a b\na^2 = 1\n")  # infinite group
     with pytest.raises(EnumerationInconclusiveError):
-        todd_coxeter(pres, "A", max_cosets=500)
+        todd_coxeter(pres, "A")
 
 
-def test_realize_auto_raises_when_both_conventions_inconclusive():
+def test_realize_auto_raises_when_both_conventions_inconclusive(monkeypatch):
+    monkeypatch.setattr(presentations, "MAX_COSETS", 300)
     pres = parse_presentation("gens: a b\na^2 = 1\n")
     with pytest.raises(EnumerationInconclusiveError):
-        realize(pres, convention="auto", max_cosets=300)
+        realize(pres, convention="auto")
 
 
 @pytest.mark.parametrize("conv", ["A", "B", "auto"])
-def test_realize_auto_reports_the_cosets_defined(conv):
+def test_realize_auto_reports_the_cosets_defined(conv, monkeypatch):
     # the error carries what the enumerations defined, not 0
+    monkeypatch.setattr(presentations, "MAX_COSETS", 300)
     pres = parse_presentation("gens: a b\na^3 = 1\n")
     with pytest.raises(EnumerationInconclusiveError) as err:
-        realize(pres, convention=conv, max_cosets=300)
+        realize(pres, convention=conv)
     assert err.value.defined == 300
     assert "(300 cosets defined)" in str(err.value)
 
@@ -336,8 +339,9 @@ def test_realize_auto_enumerates_both_conventions_with_brackets(monkeypatch):
 
 def test_realize_auto_shares_an_inconclusive_enumeration(monkeypatch):
     calls = _counting_todd_coxeter(monkeypatch)
+    monkeypatch.setattr(presentations, "MAX_COSETS", 300)
     with pytest.raises(EnumerationInconclusiveError):
-        realize(parse_presentation("gens: a b\na^2 = 1\n"), "auto", max_cosets=300)
+        realize(parse_presentation("gens: a b\na^2 = 1\n"), "auto")
     assert calls == ["A"]
 
 
@@ -408,7 +412,7 @@ BUNDLED_PRESENTATIONS = [
 def test_regular_rows_match_generator_closure(text, conv):
     ct = todd_coxeter(parse_presentation(text), conv)
     G = group_from_table(ct)
-    H = close_generators(ct.generator_perms())
+    H = close_generators(G.generators)
     assert np.array_equal(G.matrix, H.matrix)
     assert G.generators == H.generators
 

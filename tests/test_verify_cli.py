@@ -25,6 +25,7 @@ from centra.verify import (
 )
 from centra.constructors import cyclic, dihedral, parse_group_spec, symmetric
 from centra.perms import parse_cycles, perms_from_cycles
+from centra import presentations
 from centra.presentations import parse_presentation, realize
 
 # the module, which the package's ``verify`` function shadows
@@ -132,13 +133,14 @@ def test_build_over_cap_is_skipped(tmp_path, monkeypatch):
 
 def _inconclusive_realization():
     # gens: a b / a^3 = 1 is infinite, so 300 cosets run out
-    realize(parse_presentation("gens: a b\na^3 = 1\n"), "A", max_cosets=300)
+    realize(parse_presentation("gens: a b\na^3 = 1\n"), "A")
 
 
 def test_budget_and_coset_limit_are_skipped_one_by_one(tmp_path, monkeypatch, capsys):
     # cyclic:9000 would need a 324 MB element matrix (BudgetError), and the
     # sweep's one instance hits its coset limit (EnumerationInconclusiveError):
     # each is reported as skipped, and dihedral:12 is still checked
+    monkeypatch.setattr(presentations, "MAX_COSETS", 300)
     inconclusive = Instance("psl2-normalizer/infinite", "member", None,
                             _inconclusive_realization)
     monkeypatch.setitem(verify_module._SWEEPS, "psl2-normalizer",
@@ -392,6 +394,58 @@ def test_cli_refuses_deep_nesting(word, column, tmp_path, monkeypatch, capsys):
     assert main(["check-x", "presentation:@deep.pres"]) == 2
     err = capsys.readouterr().err
     assert f"line 2, column {column}: brackets nested deeper than 100" in err
+
+
+# each of these used to end in a traceback and exit 1, the code of a
+# verification failure
+@pytest.mark.parametrize("command, data, message", [
+    ("run-manifest", [{"spec": "cyclic:3", "expect": "member"}],
+     "manifest entry 1 has no 'theorem'"),
+    ("run-manifest", [{"theorem": "t-abelian", "spec": "cyclic:3"}],
+     "manifest entry 1 has no 'expect'"),
+    ("run-manifest", {"theorem": "t-abelian"}, "must hold a JSON list of entries"),
+    ("run-manifest", [{"theorem": "t-abelian"}, ["t-abelian"]],
+     "manifest entry 2 must be a JSON object"),
+    ("run-manifest", [{"theorem": "t-abelian", "spec": 5, "expect": "member"}],
+     "manifest entry 1: 'spec' must be a string"),
+    ("check-x", {}, "action data needs 'acting' as a JSON string"),
+    ("check-x", [1, 2], "action data must be a JSON object"),
+    ("check-x", {"acting": "cyclic:2", "target": "cyclic:3", "images": {"0": 5}},
+     "each image in action data must be a JSON list"),
+], ids=["no-theorem", "no-expect", "object", "list-entry", "spec-not-string",
+        "empty-action", "list-action", "image-not-list"])
+def test_cli_malformed_file_exits_2(command, data, message, tmp_path, monkeypatch,
+                                    capsys):
+    (tmp_path / "a.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    arg = "a.json" if command == "run-manifest" else "sdp:@a.json"
+    assert main([command, arg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_presentation_auto_hint_suffix(monkeypatch, capsys):
+    # A gives order 3 and B 147; the hint picks B and is recorded as matched
+    realized = []
+    real = presentations.realize
+
+    def recorded(*args, **kwargs):
+        realized.append(real(*args, **kwargs))
+        return realized[-1]
+
+    monkeypatch.setattr(presentations, "realize", recorded)
+    data_dir = bundled_manifest_path().parent
+    G = parse_group_spec("presentation:@ex_order147.pres#auto:147", data_dir)
+    assert G.order == 147
+    [r] = realized
+    assert (r.convention, r.hint, r.orders) == ("B", 147, {"A": 3, "B": 147})
+    assert r.hint_matched
+    monkeypatch.chdir(data_dir)
+    for suffix in ("auto:x", "autox"):
+        assert main(["check-x", f"presentation:@ex_order147.pres#{suffix}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_invariant_failure_exit_3(monkeypatch, capsys):
