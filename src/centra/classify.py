@@ -26,7 +26,7 @@ and z not in H >= K.  QED
 Because the condition is conjugation-invariant, z may range over conjugacy
 class representatives, and a, b over canonical generators of the distinct
 cyclic subgroups inside W = C_G(z) (replacing a generator by another
-generator of the same cyclic subgroup does not change <a,b>).  Four further
+generator of the same cyclic subgroup does not change <a,b>).  Five further
 cuts keep the scan sound and close no subgroup:
 
 (a) a and b may be taken of prime-power order: the generators in (c) are.
@@ -86,6 +86,10 @@ cuts keep the scan sound and close no subgroup:
     K/<y^r> is non-abelian of order pr, with trivial center), and a z
     centralizing K lies in K iff it lies in that cyclic subgroup, whose
     bit-set is already cached.
+
+(e) z is skipped when |G| / |z^G| = |z|.  The class walk gives |z^G|, and
+    |C_G(z)| = |G| / |z^G| (orbit-stabilizer).  <z> <= C_G(z), so equal
+    orders mean W = <z>: W is cyclic and holds no non-cyclic subgroup.
 """
 
 from __future__ import annotations
@@ -154,14 +158,20 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
     <a><b> for an abelian K, else in the cyclic subgroup of a or b that
     holds Z(K) (cut (d)): no subgroup is closed.  The relations of each a
     are tested in one numpy batch over every b of W, once per distinct W.
-    W is cyclic iff one of its members has order |W|, so orders and cyclic
-    subgroups are asked for only inside the centralizers scanned, and the
-    representatives are found once per distinct W (once in all for an
-    abelian G).  The class representatives come one class walk at a time,
-    so a non-member walks only the classes up to its first violating one.
-    On failure the witness is the first violation in (z, orbit-rep a, b)
-    order of this reduced scan, each ascending by element index, so it is
-    deterministic and generates a minimal non-cyclic group.
+
+    The class walk gives |W| = |G| / |z^G|, so a z with |W| = |z| is
+    skipped before W is built (cut (e)); W is the whole group for a central
+    z, else the commute mask of z.  Otherwise W is cyclic iff one of its
+    members has order |W|, so orders and cyclic subgroups are asked for only
+    of the z and inside the centralizers scanned.  The representatives are
+    found once per distinct W (once in all for an abelian G), and their
+    W-orbits by conjugating each orbit's least member by every element of W
+    at once, so no generating set of W is closed.  The class
+    representatives come one class walk at a time, so a non-member walks
+    only the classes up to its first violating one.  On failure the witness
+    is the first violation in (z, orbit-rep a, b) order of this reduced
+    scan, each ascending by element index, so it is deterministic and
+    generates a minimal non-cyclic group.
     """
     # (prime, exponent) of a prime-power order, else None
     prime_power = cache(lambda o: f[0] if len(f := factorize(o)) == 1 else None)
@@ -169,19 +179,20 @@ def in_class_X(G: FiniteGroup) -> MembershipVerdict:
     # per distinct W: reps, orbit reps, and per orbit rep a its minimal pairs
     scans: dict[int, tuple[list, list, dict]] = {}
 
-    for z in G.class_representatives():
-        if z == 0:
+    for z, size in G.class_representatives():
+        # |W| = |G| / |z^G|, and <z> = W if |z| = |W| (cut (e))
+        if z == 0 or G.order // size == G.element_order(z):
             continue
-        wmask = G.full_mask if abelian else G.centralizer_mask([z])
+        wmask = G.full_mask if size == 1 else G.commute_mask(z)
         if wmask not in scans:
             W = SubgroupRef(G, wmask)
             # a cyclic W cannot contain a non-cyclic subgroup: nothing to scan
-            reps = [] if W.is_cyclic() else [
-                (i, o) for i in W.indices()
-                if G.cyclic_rep(i) == i and prime_power(o := G.element_order(i))]
+            ws = [] if W.is_cyclic() else W.indices()
+            reps = [(i, o) for i in ws
+                    if G.cyclic_rep(i) == i and prime_power(o := G.element_order(i))]
             ids = [i for i, _ in reps]
             scans[wmask] = reps, (ids if abelian or not ids else G.cyclic_orbit_reps(
-                ids, W.generating_set())), {}
+                ids, ws)), {}
         reps, orbit_reps, pairs = scans[wmask]
         for a in orbit_reps:
             if a not in pairs:
@@ -309,21 +320,22 @@ def in_class_C(G: FiniteGroup) -> MembershipVerdict:
     If every non-trivial cyclic subgroup is self-centralizing, then every
     non-trivial subgroup H is: pick a non-trivial a in H, then
     C_G(H) <= C_G(a) <= <a> <= H.  Conjugation-invariance lets a range
-    over class representatives.
+    over class representatives.  <a> <= C_G(a), and the class walk gives
+    |C_G(a)| = |G| / |a^G|, so a passes exactly when that equals |a|; the
+    commute mask of the first a that fails is read only to name the least
+    z of C_G(a) outside <a> as the witness.
     """
-    abelian = G.is_abelian
-    for a in G.class_representatives():
-        if a == 0:
+    for a, size in G.class_representatives():
+        if a == 0 or G.order // size == G.element_order(a):
             continue
-        centralizer = G.full_mask if abelian else G.commute_mask(a)
+        centralizer = G.full_mask if size == 1 else G.commute_mask(a)
         outside = centralizer & ~G.cyclic_mask(a)
-        if outside:
-            z = (outside & -outside).bit_length() - 1
-            return MembershipVerdict(
-                member=False,
-                witness=Witness((G.element(a),), G.element(z)),
-                method=METHOD_CYCLIC,
-            )
+        z = (outside & -outside).bit_length() - 1
+        return MembershipVerdict(
+            member=False,
+            witness=Witness((G.element(a),), G.element(z)),
+            method=METHOD_CYCLIC,
+        )
     return MembershipVerdict(member=True, witness=None, method=METHOD_CYCLIC)
 
 
@@ -541,7 +553,7 @@ def is_simple(G: FiniteGroup) -> bool:
     """No proper non-trivial normal subgroup (normal closures of class reps)."""
     if G.order == 1:
         return False
-    for rep in G.class_representatives():
+    for rep, _ in G.class_representatives():
         if rep == 0:
             continue
         if G.normal_closure([rep]).order < G.order:

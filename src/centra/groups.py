@@ -39,21 +39,25 @@ the matrix, else the keys themselves, binary-searched.  Every
 index-level operation (products, inverses, conjugation batches,
 right-multiplication columns, commute masks) computes only the base images
 of its results with numpy and finds them in one lookup.
+Conjugation batches and commute masks work one base point at a time with
+flat ``take``s, so neither makes a |G| x |B| temporary.
 Closures and orbits are one Python walk, ``_walk``, over index maps
 (``col[x]`` = image of element x), each the lookup result kept as a flat
 int32 buffer (a ``memoryview``, 4 bytes per entry, whose items index as
 Python ints): a subgroup is the walk from the identity over its seeds'
 right-multiplication columns; conjugacy classes and normal closures walk
-one conjugation map per generator of G, the classes one at a time; and the
-orbits of cyclic subgroups walk those maps restricted to the subgroups'
-least generators.
+one conjugation map per generator of G, the classes one at a time, each
+with its size (an abelian group needs no map).  The orbits of cyclic
+subgroups under W are the conjugates of each orbit's least member by every
+element of W, in one batch.
 ``Perm`` objects are made only at the boundary, one index at a time with
 ``element(i)``; ``elements`` is a lazily cached tuple of all of them.
 A group keeps only its right-multiplication columns and the per-element
-cyclic facts (order, cyclic mask, least generator); centers, centralizers
-and conjugacy classes are computed again on each call.  Each cyclic
-subgroup is walked only when an order, cyclic mask or least generator of
-one of its elements is first asked for, so a scan that reads a few
+cyclic facts (order, cyclic mask, least generator, inverse); centers,
+centralizers and conjugacy classes are computed again on each call.  Each
+cyclic subgroup is walked only when an order, cyclic mask or least
+generator of one of its elements is first asked for, or an orbit batch
+needs the inverse of one of them, so a scan that reads a few
 centralizers walks only their cyclic subgroups.  x^m is the
 identity iff it fixes B, so a walk finds the order of x as the lcm of the
 cycle lengths of the base points, and all its powers from their base
@@ -96,7 +100,8 @@ _TABLE_PER_MATRIX = 8
 # A block's temporaries then take about 0.3 MB; 1 << 16 raised the peak of
 # small groups (q:256 0.66 -> 1.2 MB under tracemalloc) with no measurable
 # gain in time, and 1 << 12 slowed the order-1029 group of the manifest by
-# 70%.
+# 70%.  Conjugation batches use the same blocks (elements x base points):
+# one block for a whole map of alt:9 raised `check-x alt:9` from 70 to 87 MB.
 _BLOCK = 1 << 14
 # a chain level whose transversal holds at most this many entries (orbit x
 # degree) works on Python lists, one row at a time; a larger one in numpy
@@ -416,11 +421,14 @@ class FiniteGroup:
             self._table[keys] = np.arange(n, dtype=np.int32)
         else:
             self._keys = keys
-        # per element: order, bit-set of <i> and its least generator, filled
-        # by _walk_cyclic on demand (an order or mask of 0 is not yet known)
+        # per element: order, bit-set of <i>, its least generator and its
+        # inverse, filled by _walk_cyclic on demand (an order or mask of 0 is
+        # not yet known; the inverse is known once the mask is).  The
+        # inverses are an int32 buffer, like an index map: 4 bytes per entry
         self._orders = [1] + [0] * (self.order - 1)
         self._masks = [1] + [0] * (self.order - 1)
         self._reps = [0] * self.order
+        self._inverses = memoryview(np.zeros(self.order, dtype=np.int32))
         self._columns: dict[int, memoryview] = {}
 
     # -- basic queries -------------------------------------------------
@@ -512,22 +520,30 @@ class FiniteGroup:
         return int(self._find(E[i, E[j, self.base]]))
 
     def _inverse_row(self, i: int) -> np.ndarray:
+        # inverse[row[p]] = p, the points p read off the identity row
         row = self.matrix[i]
         inv = np.empty_like(row)
-        inv[row] = np.arange(self.degree, dtype=np.int32)
+        inv.put(row, self.matrix[0])
         return inv
 
     def inv(self, i: int) -> int:
         return int(self._find(self._inverse_row(i)[self.base]))
 
     def conjugates(self, xs: Sequence[int], g: int) -> memoryview:
-        """Indices of g^-1 * x * g for each index x in ``xs``, in one batch,
-        as an index map."""
-        E = self.matrix
-        # (g^-1 * x * g)[b] = g^-1[x[g[b]]]
-        rows = np.asarray(xs, dtype=np.intp).reshape(-1, 1)
-        found = self._find(self._inverse_row(g)[E[rows, E[g, self.base]]])
-        return _index_map(found)
+        """Indices of g^-1 * x * g for each index x in ``xs`` (a sequence or
+        an int array), in one batch, as an index map."""
+        E, inverse = self.matrix, self._inverse_row(g)
+        at = np.asarray(xs, dtype=np.intp) * self.degree
+        gb = E[g].take(self.base)[:, None]
+        out = np.empty(len(at), dtype=np.int32)
+        # (g^-1 * x * g)[b] = g^-1[x[g[b]]]: a row per base point b holds
+        # x[g[b]] for every x, taken from the flat matrix at x * degree + g[b],
+        # in blocks of at most _BLOCK entries
+        step = _BLOCK // max(1, len(self.base))
+        for lo in range(0, len(at), step):
+            cols = E.take(gb + at[lo : lo + step])
+            out[lo : lo + step] = self._find(inverse.take(cols).T)
+        return memoryview(out)
 
     def conj(self, i: int, g: int) -> int:
         """Index of elements[i]^elements[g] = g^-1 * x * g."""
@@ -556,7 +572,7 @@ class FiniteGroup:
             self._walk_cyclic(g)
         return self._orders[g]
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
         # each distinct generator once: a direct product of many trivial
         # factors has a generator per factor, nearly all the identity
@@ -621,9 +637,9 @@ class FiniteGroup:
 
     def _walk_cyclic(self, i: int) -> None:
         """Walk the cyclic subgroup <i> (i not the identity): fill the order
-        of each of its elements, and the mask and least generator of each
-        generator of <i>.  In <i> of order k the power i^e has order
-        k / gcd(e, k) and generates <i> iff gcd(e, k) = 1.
+        and inverse of each of its elements, and the mask and least generator
+        of each generator of <i>.  In <i> of order k the power i^e has order
+        k / gcd(e, k), inverse i^(k-e), and generates <i> iff gcd(e, k) = 1.
         """
         # i^e is the identity iff it fixes every base point, so the order k
         # of i is the lcm of the base points' cycle lengths, and i^e maps b
@@ -640,10 +656,10 @@ class FiniteGroup:
         k = lcm(*map(len, cycles))
         images = np.array([c * (k // len(c)) for c in cycles]).T
         powers = self._find(images).tolist()
-        orders, gens = self._orders, []
+        orders, inverses, gens = self._orders, self._inverses, []
         for e, p in enumerate(powers):
             g = gcd(e, k)
-            orders[p] = k // g
+            orders[p], inverses[p] = k // g, powers[-e]
             if g == 1:
                 gens.append(p)
         m, least = self.mask_of(powers), min(gens)
@@ -654,11 +670,12 @@ class FiniteGroup:
 
     def commute_mask(self, i: int) -> int:
         """Bit-set of all elements commuting with elements[i]."""
-        E, base = self.matrix, self.base
-        zi = E[i]
+        E, z = self.matrix, self.matrix[i]
         # z * g and g * z are elements, so they are equal iff they agree on
-        # the base: z[g[b]] against g[z[b]]
-        flags = np.all(zi[E[:, base]] == E[:, zi[base]], axis=1)
+        # the base: z[g[b]] against g[z[b]], one base point at a time
+        flags = np.ones(self.order, dtype=bool)
+        for b, zb in zip(self.base.tolist(), z[self.base].tolist()):
+            flags &= z.take(E[:, b]) == E[:, zb]
         packed = np.packbits(flags, bitorder="little")
         return int.from_bytes(packed.tobytes(), "little")
 
@@ -689,7 +706,7 @@ class FiniteGroup:
 
     def _conjugation_maps(self) -> list[memoryview]:
         """map[x] = index of g^-1 * x * g, one map per generator g of G."""
-        everything = range(self.order)
+        everything = np.arange(self.order)
         return [self.conjugates(everything, g) for g in self.generator_indices()]
 
     def conjugacy_classes(self) -> list[list[int]]:
@@ -702,27 +719,41 @@ class FiniteGroup:
             if not seen[x]
         ]
 
-    def class_representatives(self) -> Iterator[int]:
-        """Least element of each conjugacy class, ascending, each yielded as
-        soon as its class is walked: a caller that stops early walks only
-        the classes up to the one it stops at."""
+    def class_representatives(self) -> Iterator[tuple[int, int]]:
+        """(least element, size) of each conjugacy class, ascending, each
+        yielded as soon as its class is walked: a caller that stops early
+        walks only the classes up to the one it stops at.  Every class of an
+        abelian group is one element, so it yields (x, 1) for each x and
+        builds no conjugation map."""
+        if self.is_abelian:
+            yield from zip(range(self.order), [1] * self.order)
+            return
         maps = self._conjugation_maps()
         seen = bytearray(self.order)
         for x in range(self.order):
             if not seen[x]:
-                _walk(maps, [x], seen)
-                yield x
+                yield x, len(_walk(maps, [x], seen))
 
-    def cyclic_orbit_reps(self, reps: list[int], gens: list[int]) -> list[int]:
-        """Least member of each orbit of <gens>, acting by conjugation, on the
-        cyclic subgroups <r> for r in ``reps`` (ascending cyclic_reps() fixed
-        points whose subgroups <gens> permutes)."""
-        maps = [
-            dict(zip(reps, map(self.cyclic_rep, self.conjugates(reps, g))))
-            for g in gens
-        ]
-        seen = bytearray(self.order)
-        return [r for r in reps if _walk(maps, [r], seen)]
+    def cyclic_orbit_reps(self, reps: list[int], ws: list[int]) -> list[int]:
+        """Least member of each orbit of the subgroup whose elements are
+        ``ws``, acting by conjugation, on the cyclic subgroups <r> for r in
+        ``reps`` (ascending cyclic_reps() fixed points whose subgroups it
+        permutes), found by conjugating it by every w at once."""
+        E, d = self.matrix, self.degree
+        for w in ws:
+            self.cyclic_mask(w)  # walks <w>, which records w^-1
+        ws = np.asarray(ws, dtype=np.intp)
+        inverse_at = np.asarray(self._inverses).take(ws).astype(np.intp) * d
+        # w[b] for every w, a row per base point b, from the flat matrix
+        wb = E.take(self.base[:, None] + ws * d)
+        out, seen = [], set()
+        for r in reps:
+            if r not in seen:
+                out.append(r)
+                # (w^-1 * r * w)[b] = w^-1[r[w[b]]]
+                images = E.take(inverse_at + self.matrix[r].take(wb))
+                seen.update(map(self.cyclic_rep, self._find(images.T).tolist()))
+        return out
 
     # -- generated structure ------------------------------------------------
 

@@ -139,7 +139,7 @@ def minimal_normal_subgroups(G: FiniteGroup) -> list[SubgroupRef]:
     exactly the minimal normal subgroups.
     """
     candidates: set[int] = set()
-    for rep in G.class_representatives():
+    for rep, _ in G.class_representatives():
         if rep == 0:
             continue
         candidates.add(G.normal_closure([rep]).mask)

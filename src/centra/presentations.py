@@ -31,10 +31,11 @@ constant ``MAX_COSETS``; the total relator length is computed from the word
 trees and bounded by it before any relator is expanded.
 
 ``CosetTable.live_table`` renumbers the live cosets in ascending order; the
-lookahead, the closure check at the end and ``group_from_table`` all read
-it.  A closed table gives the regular representation, so the live-coset
-count is the group order; ``group_from_table`` builds the row of the
-element sending coset 0 to coset k at index k.  That row starts with k, so
+lookahead and the closure check at the end read it, and the table that
+ends the enumeration is kept for ``group_from_table``.  A closed table
+gives the regular representation, so the live-coset count is the group
+order; ``group_from_table`` builds the row of the element sending coset 0
+to coset k at index k.  That row starts with k, so
 ``FiniteGroup``, which decides the canonical order, finds the rows already
 in it and copies nothing.
 """
@@ -372,11 +373,14 @@ class CosetTable:
     trivial subgroup.  ``p`` is the union-find parent list; coset k is live
     iff ``p[k] == k``.  Columns only ever grow in place, so a relator
     compiled to column lists (``compile``) stays valid for the whole run.
+    ``closed`` is the ``live_table`` that ``todd_coxeter`` checked at the
+    end of its enumeration, None until then.
     """
 
     def __init__(self, num_generators: int):
         self.cols: list[list[int]] = [[-1] for _ in range(2 * num_generators)]
         self.p: list[int] = [0]
+        self.closed: np.ndarray | None = None
 
     @property
     def table(self) -> list[list[int | None]]:
@@ -515,11 +519,12 @@ def todd_coxeter(pres: Presentation, convention: str) -> CosetTable:
     waits until new cosets have been defined.
 
     Raises BudgetError before expanding any relator if they hold more than
-    ``MAX_COSETS`` letters in all.  Returns a closed table: the closing
-    ``live_table`` call raises InvariantError otherwise.  Raises
-    EnumerationInconclusiveError at ``MAX_COSETS`` cosets (not a proof of
-    infinitude); total collapse to one coset is a valid result describing
-    the trivial group.
+    ``MAX_COSETS`` letters in all.  Returns a closed table, its renumbered
+    live table kept as ``closed``: the lookahead that ended the run made
+    it, or else a closing ``live_table`` call, which raises InvariantError
+    unless the table is closed.  Raises EnumerationInconclusiveError at
+    ``MAX_COSETS`` cosets (not a proof of infinitude); total collapse to
+    one coset is a valid result describing the trivial group.
     """
     pres.check_length(MAX_COSETS)
     ct = CosetTable(pres.num_generators)
@@ -547,14 +552,16 @@ def todd_coxeter(pres: Presentation, convention: str) -> CosetTable:
                     if c[alpha] < 0:
                         ct.define(alpha, col)
         alpha += 1
-    ct.live_table()  # raises unless the table is closed
+    else:  # no lookahead ended the run: check the table here
+        ct.closed = ct.live_table()[1]
     return ct
 
 
 def _closed_pairs(ct: CosetTable, relators: list, start: int) -> bool:
     """Whether every relator closes from every live coset at or above
     ``start``.  Every live row must be complete; the trace runs on the live
-    rows alone, renumbered in order."""
+    rows alone, renumbered in order, and that table is kept as
+    ``ct.closed`` if every relator closes."""
     live, table = ct.live_table()
     starts = np.arange(np.searchsorted(live, start), len(live))
     for _fwd, _bwd, nums in relators:
@@ -563,6 +570,7 @@ def _closed_pairs(ct: CosetTable, relators: list, start: int) -> bool:
             ends = table[c].take(ends)
         if (ends != starts).any():
             return False
+    ct.closed = table
     return True
 
 
@@ -586,11 +594,13 @@ class RealizedPresentation:
 
 def group_from_table(ct: CosetTable,
                      order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """The regular representation that a closed table gives.
+    """The regular representation that a table closed by ``todd_coxeter``
+    gives.
 
-    The generators permute the live cosets, renumbered in ascending order
-    (``CosetTable.live_table``).  The table's coset action is a right
-    action, so each generator is read off its inverse column: then
+    The generators permute the live cosets, renumbered in ascending order:
+    ``ct.closed``, the table that ``todd_coxeter`` checked, so the live
+    rows are renumbered once per realization.  The table's coset action is
+    a right action, so each generator is read off its inverse column: then
     generator -> permutation is a homomorphism under the apply-right-first
     composition, and relator words multiply to the identity permutation.
 
@@ -602,7 +612,9 @@ def group_from_table(ct: CosetTable,
     is no row set.  The order cap and the element-storage budget (n x n x 4
     bytes) are checked before the matrix is built.
     """
-    _live, table = ct.live_table()
+    table = ct.closed
+    if table is None:
+        raise InvariantError("the coset table was not closed by todd_coxeter")
     n = table.shape[1]
     check_order(n, n, order_cap)
     columns = table[1::2]
@@ -666,7 +678,7 @@ def realize(
         try:
             ct = todd_coxeter(pres, conv)
             tables[conv] = ct
-            orders[conv] = ct.live_count()
+            orders[conv] = ct.closed.shape[1]  # the live cosets
         except EnumerationInconclusiveError as exc:
             tables[conv] = None
             orders[conv] = None

@@ -214,9 +214,8 @@ def test_relations_match_closures_on_semidirect_products(params):
 
 
 def _scan_work(spec: str) -> tuple[int, int]:
-    """The work of one in_class_X scan of a member: closure_mask calls (the
-    generating sets of non-cyclic centralizers) and element lookups, each a
-    batch of base images found at once."""
+    """The work of one in_class_X scan of a member: closure_mask calls and
+    element lookups, each a batch of base images found at once."""
     G = parse_group_spec(spec)
     calls = {"closure": 0, "find": 0}
     closure, find = G.closure_mask, G._find
@@ -243,10 +242,42 @@ def test_scan_closure_counts_are_pinned():
     # representative, and only the generating sets of non-cyclic
     # centralizers are closed.  Most lookups are cyclic-subgroup walks.  An
     # orbit representative that recurs in another centralizer is tested
-    # again there.
-    assert _scan_work("dihedral:64") == (6, 66)
-    assert _scan_work("psl2:7") == (3, 28)
-    assert _scan_work("dihedral:1024") == (6, 550)
+    # again there.  Closing the generating sets of the non-cyclic
+    # centralizers (6, 3 and 6 closures, with 66, 28 and 550 lookups) is
+    # gone too: each orbit of cyclic subgroups is one lookup of the
+    # conjugates of its least member by every element of W, where there was
+    # a column and a conjugation batch per generator of W (13 lookups for
+    # 10 on dihedral:64, 17 for 10 on dihedral:1024, 4 for 6 on psl2:7).
+    # The order of each class representative z is read first, to skip z
+    # when |C_G(z)| = |z|; that walks 3, 3 and 4 <z> that W.is_cyclic()
+    # used to walk, so it adds no lookup.
+    assert _scan_work("dihedral:64") == (0, 69)
+    assert _scan_work("psl2:7") == (0, 26)
+    assert _scan_work("dihedral:1024") == (0, 557)
+
+
+@pytest.mark.parametrize("spec", ["psl2:7", "sym:5", "dihedral:64", "psl2:31"])
+def test_class_sizes_spare_closures_and_centralizers(spec):
+    # the class walk gives |C_G(z)| = |G| / |z^G|: in_class_X closes no
+    # subgroup, and in_class_C reads a centralizer only to name its witness
+    G = parse_group_spec(spec)
+    calls = {"closure": 0, "commute": 0}
+    closure, commute = G.closure_mask, G.commute_mask
+
+    def counted_closure(seed):
+        calls["closure"] += 1
+        return closure(seed)
+
+    def counted_commute(i):
+        calls["commute"] += 1
+        return commute(i)
+
+    G.closure_mask, G.commute_mask = counted_closure, counted_commute
+    in_class_X(G)
+    assert calls["closure"] == 0
+    calls["commute"] = 0
+    in_class_C(G)
+    assert calls["commute"] <= 1
 
 
 def _class_walks(G, check, monkeypatch) -> tuple[int, object]:

@@ -237,10 +237,10 @@ def test_cyclic_orbit_reps_under_conjugation():
     G = dihedral(8)
     orders = G.element_orders()
     reps = [i for i in range(1, G.order) if G.cyclic_reps()[i] == i]
-    orbit_reps = G.cyclic_orbit_reps(reps, G.generator_indices())
+    orbit_reps = G.cyclic_orbit_reps(reps, list(range(G.order)))
     # D_8: the central involution, two classes of reflections, and <r>
     assert sorted(orders[i] for i in orbit_reps) == [2, 2, 2, 4]
-    # conjugation by the identity joins nothing
+    # the trivial subgroup joins nothing
     assert G.cyclic_orbit_reps(reps, [0]) == reps
 
 
@@ -507,7 +507,8 @@ def test_conjugacy_classes_match_brute_force(name):
 @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
 def test_class_representatives_are_least_class_members(name):
     G = REFERENCE_GROUPS[name]
-    assert list(G.class_representatives()) == [c[0] for c in G.conjugacy_classes()]
+    reps = [x for x, _ in G.class_representatives()]
+    assert reps == [c[0] for c in G.conjugacy_classes()]
 
 
 # fresh groups, so that each test fills the orders and cyclic masks itself:
@@ -653,6 +654,48 @@ def test_commute_mask_matches_full_rows(name):
         assert G.commute_mask(i) == G.mask_of(np.flatnonzero(flags).tolist()), i
 
 
+# the reference groups cover the three lookups: a dense table, a binary
+# search (dp:sym:4;dihedral:8) and big-endian void keys (c2^7-on-1024); the
+# trivial group adds an empty base, where every key is the empty digit string
+KERNEL_GROUPS = {
+    **REFERENCE_GROUPS,
+    "induced:trivial": REFERENCE_GROUPS["sym:5"].trivial_subgroup().induced_group(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_conjugation_and_commute_kernels_match_perm_arithmetic(name):
+    G = KERNEL_GROUPS[name]
+    el = G.elements
+    rng = random.Random(name)
+    for g in rng.sample(range(G.order), min(G.order, 3)):
+        conj = [G.index_of(x.conjugate_by(el[g])) for x in el]
+        assert list(G.conjugates(np.arange(G.order), g)) == conj
+        xs = [rng.randrange(G.order) for _ in range(20)]
+        assert list(G.conjugates(xs, g)) == [conj[x] for x in xs]
+        assert list(G.conjugates(xs[:1], g)) == [conj[xs[0]]]
+    for z in rng.sample(range(G.order), min(G.order, 5)):
+        commuting = [i for i, x in enumerate(el) if x * el[z] == el[z] * x]
+        assert G.commute_mask(z) == G.mask_of(commuting)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_walked_inverses_match_inv(name):
+    G = KERNEL_GROUPS[name]
+    G.cyclic_masks()  # walks every cyclic subgroup
+    assert list(G._inverses) == [G.inv(i) for i in range(G.order)]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_class_sizes_satisfy_orbit_stabilizer(name):
+    # |G| = |x^G| * |C_G(x)|, and the classes partition G
+    G = KERNEL_GROUPS[name]
+    classes = list(G.class_representatives())
+    assert sum(size for _, size in classes) == G.order
+    for x, size in classes:
+        assert size * G.commute_mask(x).bit_count() == G.order
+
+
 def test_index_maps_are_int32_buffers_of_python_ints():
     from centra.constructors import parse_group_spec
 
@@ -712,12 +755,12 @@ def test_normal_closure_matches_conjugates_then_closure(name):
         assert G.normal_closure([el[s] for s in seed]).mask == _perm_mask(G, expected)
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
 def test_cyclic_orbit_reps_match_brute_force_orbits(name):
     # W = C_G(z) for the non-central z with the largest non-abelian (else
     # largest) centralizer, or G when G is abelian; W acts by conjugation on
     # its cyclic subgroups, each named by its cyclic mask
-    G = REFERENCE_GROUPS[name]
+    G = KERNEL_GROUPS[name]
     rows, cyc, crep = G.matrix, G.cyclic_masks(), G.cyclic_reps()
     centralizers = [SubgroupRef(G, G.commute_mask(z)) for z in range(G.order)]
     z = max(
@@ -739,7 +782,7 @@ def test_cyclic_orbit_reps_match_brute_force_orbits(name):
         if cyc[r] not in seen:
             expected.append(r)
             seen |= {cyc[conj(r, w)] for w in W.indices()}
-    assert G.cyclic_orbit_reps(reps, W.generating_set()) == expected
+    assert G.cyclic_orbit_reps(reps, W.indices()) == expected
     # a non-abelian W moves some cyclic subgroup here (sym:5, psl2:7 and
     # dp:sym:4;dihedral:8), so those orbits are not all single points
     assert W.is_abelian() or len(expected) < len(reps)
