@@ -32,12 +32,13 @@ trees and bounded by it before any relator is expanded.
 
 ``CosetTable.live_table`` renumbers the live cosets in ascending order; the
 lookahead and the closure check at the end read it, and the table that
-ends the enumeration is kept for ``group_from_table``.  A closed table
-gives the regular representation, so the live-coset count is the group
-order; ``group_from_table`` builds the row of the element sending coset 0
-to coset k at index k.  That row starts with k, so
-``FiniteGroup``, which decides the canonical order, finds the rows already
-in it and copies nothing.
+ends the enumeration is kept for ``group_from_table``.  A closed table is
+the right regular action of G, so the live-coset count n is |G|.
+``group_from_table`` reads off it the action on the right cosets of a few
+cyclic subgroups whose cores meet in {1} (C2000 acts on 16 + 125 points,
+not 2000) and closes it with ``close_generators`` like every other group;
+the closure's order n proves the action faithful.  The regular action is
+kept only where no such subgroups exist, as in C_p or Q16.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from .errors import (
     InvariantError,
     PresentationSyntaxError,
 )
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, check_order
+from .fields import factorize
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, close_generators
 from .perms import Perm
 
 # an enumeration that would define more cosets than this is inconclusive;
@@ -594,48 +596,114 @@ class RealizedPresentation:
 
 def group_from_table(ct: CosetTable,
                      order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """The regular representation that a table closed by ``todd_coxeter``
-    gives.
+    """The group presented by a table closed by ``todd_coxeter``, acting on
+    a small faithful union of coset spaces.
 
-    The generators permute the live cosets, renumbered in ascending order:
-    ``ct.closed``, the table that ``todd_coxeter`` checked, so the live
-    rows are renumbered once per realization.  The table's coset action is
-    a right action, so each generator is read off its inverse column: then
-    generator -> permutation is a homomorphism under the apply-right-first
-    composition, and relator words multiply to the identity permutation.
-
-    Row k of the element matrix is the element that sends coset 0 to coset
-    k.  One walk from coset 0 fills the rows: if row k is the element x and
-    a is a generator permutation, then a * x (x applied first) sends 0 to
-    a[k], so row a[k] is a[row k].  Every row k starts with k, so
-    ``FiniteGroup`` finds them in its canonical order and moves none; there
-    is no row set.  The order cap and the element-storage budget (n x n x 4
-    bytes) are checked before the matrix is built.
+    ``ct.closed``, the live table that ``todd_coxeter`` checked, is the right
+    regular action: live coset k is the element g_k with 0 . g_k = k, and
+    the column of x sends g_k to g_k x.  ``_coset_action`` reads off it the
+    generators' action on the right cosets of a few cyclic subgroups, or the
+    regular action if no such union is faithful.  These are right actions,
+    so each generator x acts as x^-1 does on the cosets: then generator ->
+    permutation is a homomorphism under the apply-right-first composition,
+    and relator words multiply to the identity permutation.
+    ``close_generators`` checks the order cap and the element-storage
+    budget (order x degree x 4 bytes) before it builds any row.  The action
+    is a quotient of G, so the closure has order n, the live-coset count,
+    exactly when it is faithful; InvariantError otherwise.
     """
     table = ct.closed
     if table is None:
         raise InvariantError("the coset table was not closed by todd_coxeter")
     n = table.shape[1]
-    check_order(n, n, order_cap)
-    columns = table[1::2]
-    gens = [Perm(c.tolist()) for c in columns]
-    perms = [(g.images, c.astype(np.int32)) for g, c in zip(gens, columns)]
-    matrix = np.empty((n, n), dtype=np.int32)
-    matrix[0] = np.arange(n)
-    reached = [0]
+    G = close_generators([Perm(row) for row in _coset_action(table).tolist()],
+                         order_cap)
+    if G.order != n:
+        raise InvariantError(f"the coset action has order {G.order}, not {n}")
+    return G
+
+
+def _coset_action(table: np.ndarray) -> np.ndarray:
+    """One row of images per generator: the action on the right cosets of
+    a few cyclic subgroups <h> that meet in a trivial core, or the inverse
+    columns (the regular action) if none do.
+
+    The candidates are <x> and each <x^(p^v)> with p^v || |x|, for every
+    generator x; |x| is the length of its cycle through coset 0.  The right
+    cosets of <h> (its blocks) are the cycles of left multiplication by h,
+    so there are n / |h| of them; candidates with one block, or with h = 1,
+    are dropped.  Left multiplication by each generator x comes from one
+    pass over a spanning tree from coset 0: if k . y = j, x g_j = (x g_k) y.
+    The kernel of the action on the blocks of <h> is <h^d>, for d the order
+    of right multiplication by h on the blocks, a divisor of |h|.
+    A candidate with a trivial kernel is taken alone, the one with the
+    fewest blocks; otherwise candidates are added by increasing block count
+    while each shrinks the intersection of the kernels, until it is {1}.
+    """
+    n = table.shape[1]
+    fwd, inv = table[0::2], table[1::2]
+    cols = fwd.tolist()
+    cycles = []  # cycles[i][j] is the coset 0 . x_i^j
+    for col in cols:
+        cycle, k = [0], col[0]
+        while k:
+            cycle.append(k)
+            k = col[k]
+        cycles.append(cycle)
+    # (|h|, i, e) for h = x_i^e, by block count n / |h|, ascending
+    candidates = sorted(((len(cycle) // e, i, e) for i, cycle in enumerate(cycles)
+                         for e in [1] + [p**v for p, v in factorize(len(cycle))]
+                         if 1 < len(cycle) // e < n), key=lambda c: -c[0])
+    if not candidates:
+        return inv
+    lefts = [[col[0]] * n for col in cols]  # lefts[i][k]: the coset of x_i g_k
     seen = bytearray(n)
     seen[0] = 1
+    reached = [0]
     for k in reached:
-        row = matrix[k]
-        for images, a in perms:
-            j = images[k]
+        for col in cols:
+            j = col[k]
             if not seen[j]:
                 seen[j] = 1
-                matrix[j] = a.take(row)
                 reached.append(j)
-    if len(reached) != n:
-        raise InvariantError("the walk from coset 0 missed some live cosets")
-    return FiniteGroup(gens, matrix)
+                for left in lefts:
+                    left[j] = col[left[k]]
+    actions = []  # (kernel, block of each coset, least coset of each block)
+    for m, i, e in candidates:
+        left, least = _power(np.array(lefts[i]), e), np.arange(n)
+        for _ in range((m - 1).bit_length()):  # the least coset of each cycle
+            least = np.minimum(least, least[left])
+            left = left[left]
+        reps, block = np.unique(least, return_inverse=True)
+        on_blocks = block[_power(fwd[i], e)[reps]]  # right multiplication by h
+        d, identity = m, np.arange(len(reps))
+        for r, _ in factorize(m):
+            while d % r == 0 and (_power(on_blocks, d // r) == identity).all():
+                d //= r
+        core = set(cycles[i][::e * d])  # <h^d>
+        if len(core) == 1:  # faithful, with the fewest blocks of any such
+            actions = [(core, block, reps)]
+            break
+        actions.append((core, block, reps))
+    kernel, parts = set(range(n)), []
+    for core, block, reps in actions:
+        if not kernel <= core:
+            kernel &= core
+            parts.append(block[inv[:, reps]] + sum(part.shape[1] for part in parts))
+            if len(kernel) == 1:
+                return np.concatenate(parts, axis=1)
+    return inv
+
+
+def _power(perm: np.ndarray, e: int) -> np.ndarray:
+    """The e-th power of a permutation array, by repeated squaring."""
+    out = np.arange(len(perm))
+    while e:
+        if e & 1:
+            out = perm[out]
+        perm = perm[perm]
+        e >>= 1
+    return out
 
 
 def realize(
@@ -644,7 +712,8 @@ def realize(
     order_hint: int | None = None,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> RealizedPresentation:
-    """Realize a presentation as a permutation group.
+    """Realize a presentation as a permutation group: the table's action on
+    a small faithful union of coset spaces (``group_from_table``).
 
     Convention "A" or "B" enumerates that one alone.  With convention
     "auto", both commutator conventions are enumerated and the one matching

@@ -288,13 +288,19 @@ def _closure_rows(gens):
     return sorted(seen)
 
 
+def _regular_action(text):
+    """The regular action that the closed coset table of a presentation
+    gives: its inverse columns, closed, so degree = order and |B| = 1."""
+    from centra.presentations import parse_presentation, todd_coxeter
+
+    table = todd_coxeter(parse_presentation(text), "A").closed
+    return close_generators([Perm(c) for c in table[1::2].tolist()])
+
+
 def _dihedral_262():
     """Degree = order = 262, with image values above 255, so the byte order
     of the sort matters."""
-    from centra.presentations import parse_presentation, realize
-
-    pres = parse_presentation("gens: a b\na^131 = 1\nb^2 = 1\n(ab)^2 = 1\n")
-    return realize(pres, "auto", 262).group
+    return _regular_action("gens: a b\na^131 = 1\nb^2 = 1\n(ab)^2 = 1\n")
 
 
 def _c2_power_7():
@@ -331,15 +337,13 @@ def _fresh_group(name):
 
 def _reference_groups():
     from centra.constructors import parse_group_spec
-    from centra.presentations import parse_presentation, realize
     from centra.verify import _data_text
 
     groups = {
         s: parse_group_spec(s)
         for s in ("dihedral:64", "psl2:7", "sym:5", "dp:sym:4;dihedral:8")
     }
-    pres = parse_presentation(_data_text("ex_order18.pres"))
-    groups["ex_order18"] = realize(pres, "auto", 18).group
+    groups["ex_order18"] = _regular_action(_data_text("ex_order18.pres"))
     groups["dihedral-262"] = _dihedral_262()
     groups["c2^7-on-1024"] = _c2_power_7()
     S5 = groups["sym:5"]

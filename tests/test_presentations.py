@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_cli_fuzz import relations
 
 from centra import presentations
+from centra.classify import in_class_C, in_class_X, verify_witness
 from centra.errors import (
     BudgetError,
     EnumerationInconclusiveError,
     GroupTooLargeError,
+    InvariantError,
     PresentationSyntaxError,
 )
+from centra.fields import is_prime
 from centra.groups import ELEMENT_STORAGE_BUDGET, close_generators
+from centra.perms import Perm
 from centra.presentations import (
     CosetTable,
     group_from_table,
@@ -139,6 +145,15 @@ def test_group_from_table_keeps_order_cap():
     assert group_from_table(ct, order_cap=12).order == 12
 
 
+def test_group_from_table_refuses_an_unfaithful_action(monkeypatch):
+    # C12 acting as a 3-cycle: the closure has order 3, not the 12 cosets
+    ct = todd_coxeter(parse_presentation("gens: a\na^12 = 1\n"), "A")
+    monkeypatch.setattr(presentations, "_coset_action",
+                        lambda table: np.array([[1, 2, 0]]))
+    with pytest.raises(InvariantError, match="order 3, not 12"):
+        group_from_table(ct)
+
+
 def test_enumeration_limit_is_inconclusive(monkeypatch):
     monkeypatch.setattr(presentations, "MAX_COSETS", 500)
     pres = parse_presentation("gens: a b\na^2 = 1\n")  # infinite group
@@ -183,25 +198,40 @@ def test_relators_hold_in_realized_group():
             assert acc.is_identity(), (fname, word)
 
 
-def test_regular_action_free_and_transitive():
-    pres = parse_presentation(_data_text("ex_order12.pres"))
-    G = realize(pres, "B").group
-    assert G.order == G.degree == 12
-    # transitive: orbit of 0 is everything; free: only identity fixes a point
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for pt in frontier:
+def _orbits(G):
+    """The orbits of G on its points, by least point."""
+    orbits = []
+    for start in range(G.degree):
+        if any(start in orbit for orbit in orbits):
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            pt = frontier.pop()
             for g in G.generators:
                 if g(pt) not in orbit:
                     orbit.add(g(pt))
-                    nxt.append(g(pt))
-        frontier = nxt
-    assert orbit == set(range(12))
+                    frontier.append(g(pt))
+        orbits.append(orbit)
+    return orbits
+
+
+def test_regular_action_free_and_transitive():
+    # every non-trivial subgroup of Q16 contains the central involution, so
+    # no union of coset actions is faithful and the regular action is kept
+    pres = parse_presentation("gens: a b\na^8 = 1\nb^2 = a^4\nb^-1 a b = a^-1\n")
+    G = realize(pres, "A").group
+    assert G.order == G.degree == 16
+    # transitive: orbit of 0 is everything; free: only identity fixes a point
+    assert _orbits(G) == [set(range(16))]
     for p in G.elements:
-        if any(p(i) == i for i in range(12)):
+        if any(p(i) == i for i in range(16)):
             assert p.is_identity()
+    # ex_order12 = C3 x| C4 acts faithfully on the 3 cosets of <a> (kernel
+    # <a^2>, central) and the 4 cosets of <c> (normal), whose kernels meet
+    # in {1}
+    G = realize(parse_presentation(_data_text("ex_order12.pres")), "B").group
+    assert (G.order, G.degree) == (12, 7)
+    assert [len(o) for o in _orbits(G)] == [3, 4]
 
 
 def test_determinism():
@@ -274,12 +304,19 @@ GENERATED_PRESENTATIONS = {
     "c31-c15": "gens: a b\na^31 = 1\nb^15 = 1\nb^-1 a b = a^9\n",
     "dihedral-486": "gens: a b\na^243 = 1\nb^2 = 1\n(ab)^2 = 1\n",
     "cyclic-2000": "gens: a\na^2000 = 1\n",
+    "cyclic-401": "gens: a\na^401 = 1\n",
+    "quaternion-256": "gens: a b\na^128 = 1\nb^2 = a^64\nb^-1 a b = a^-1\n",
 }
+
+
+def _text(name):
+    """A generated presentation by name, or a bundled one by file name."""
+    return GENERATED_PRESENTATIONS.get(name) or _data_text(name)
 
 
 @pytest.mark.parametrize("name,conv,defined,live", ENUMERATION_COUNTS)
 def test_enumeration_work_counts(name, conv, defined, live):
-    text = GENERATED_PRESENTATIONS.get(name) or _data_text(name)
+    text = _text(name)
     ct = todd_coxeter(parse_presentation(text), conv)
     assert (len(ct.table), ct.live_count()) == (defined, live)
     assert len(ct.p) == defined
@@ -418,13 +455,27 @@ def test_regular_rows_match_generator_closure(text, conv):
 
 
 def test_group_from_table_checks_storage_before_building():
-    # the smallest cyclic group whose regular representation is over budget
-    n = math.isqrt(ELEMENT_STORAGE_BUDGET // 4) + 1
-    assert 4 * (n - 1) ** 2 <= ELEMENT_STORAGE_BUDGET < 4 * n * n
+    # the smallest prime p whose regular representation is over budget: C_p
+    # has no proper non-trivial subgroup, so its only faithful action is the
+    # regular one, refused before any row is built
+    p = math.isqrt(ELEMENT_STORAGE_BUDGET // 4) + 1
+    while not is_prime(p):
+        p += 1
+    assert 4 * p * p > ELEMENT_STORAGE_BUDGET
     with pytest.raises(BudgetError) as err:
-        realize(parse_presentation(f"gens: a\na^{n} = 1\n"), "auto", n)
-    assert (err.value.needed, err.value.limit) == (4 * n * n, ELEMENT_STORAGE_BUDGET)
+        realize(parse_presentation(f"gens: a\na^{p} = 1\n"), "auto", p)
+    assert (err.value.needed, err.value.limit) == (4 * p * p, ELEMENT_STORAGE_BUDGET)
     assert "element storage budget" in str(err.value)
+
+
+def test_cyclic_8193_realizes_on_its_prime_power_cosets():
+    # C8193 = C3 x C2731 is over budget as a regular representation
+    # (4 x 8193^2 bytes) but acts faithfully on the 2731 + 3 cosets of its
+    # subgroups of order 3 and 2731
+    assert 4 * 8193 * 8193 > ELEMENT_STORAGE_BUDGET
+    G = realize(parse_presentation("gens: a\na^8193 = 1\n"), "auto", 8193).group
+    assert (G.order, G.degree) == (8193, 2734)
+    assert sorted(len(o) for o in _orbits(G)) == [3, 2731]
 
 
 def test_relator_length_is_bounded_before_expansion():
@@ -438,3 +489,65 @@ def test_relator_length_is_bounded_before_expansion():
     for call in (lambda: todd_coxeter(huge, "A"), lambda: realize(huge)):
         with pytest.raises(BudgetError, match="relator length bound"):
             call()
+
+
+# the twelve presentations of the benchmark's `regular` workload: the order
+# that picks the convention, and the degree of the faithful coset action
+# realized.  Only C401 (no proper non-trivial subgroup) and Q256 (every
+# non-trivial subgroup holds the central involution) keep the regular action
+BENCH_DEGREES = {
+    "ex_order18.pres": (18, 9), "ex_order147.pres": (147, 49),
+    "ex_order24.pres": (24, 12), "ex_order12.pres": (12, 7),
+    "ex_order75.pres": (75, 15), "cyclic-401": (401, 401),
+    "abelian-12x36": (432, 48), "dihedral-486": (486, 243),
+    "quaternion-256": (256, 256), "c31-c15": (465, 31),
+    "heisenberg-7": (343, 49), "cyclic-2000": (2000, 141),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_DEGREES))
+def test_bench_presentation_degrees(name):
+    order, degree = BENCH_DEGREES[name]
+    text = _text(name)
+    G = realize(parse_presentation(text), "auto", order).group
+    assert (G.order, G.degree) == (order, degree)
+
+
+def _same_verdicts_as_regular(ct):
+    """The realized group has the live-coset count as its order and the
+    class-X and class-C verdicts of the regular action on the same table,
+    and every witness re-verifies."""
+    G = group_from_table(ct)
+    R = close_generators([Perm(c) for c in ct.closed[1::2].tolist()])
+    assert G.order == R.order == ct.live_count()
+    for cls, decide in (("X", in_class_X), ("C", in_class_C)):
+        verdicts = [decide(H) for H in (G, R)]
+        assert verdicts[0].member == verdicts[1].member
+        for H, verdict in zip((G, R), verdicts):
+            assert verdict.member or verify_witness(H, verdict, cls)
+
+
+@pytest.mark.parametrize("conv", ["A", "B"])
+@pytest.mark.parametrize(
+    "text",
+    [_text(name) for name in BENCH_DEGREES]
+    + SMALL_PRESENTATIONS,
+    ids=list(BENCH_DEGREES) + ["cyclic-12", "dihedral-18", "quaternion-16",
+                               "metacyclic-21"],
+)
+def test_coset_action_verdicts_match_regular_action(text, conv):
+    _same_verdicts_as_regular(todd_coxeter(parse_presentation(text), conv))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(lines=st.lists(relations, max_size=3), m=st.integers(1, 12),
+       n=st.integers(1, 12), conv=st.sampled_from(["A", "B"]))
+def test_coset_action_on_random_finite_presentations(lines, m, n, conv):
+    # the CLI fuzz's relations, after ones that make the group a quotient of
+    # C_m x C_n; malformed or over-long ones are refused before enumeration
+    text = "\n".join(["gens: a b", f"a^{m} = 1", f"b^{n} = 1", "[a,b] = 1", *lines])
+    try:
+        ct = todd_coxeter(parse_presentation(text), conv)
+    except (PresentationSyntaxError, BudgetError):
+        return
+    _same_verdicts_as_regular(ct)

@@ -1,6 +1,5 @@
 import importlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -480,21 +479,47 @@ def test_cli_entry_point_subprocess():
     assert json.loads(proc.stdout)["member"] is True
 
 
+# runs the CLI, then writes the process's own peak RSS in MB to stderr:
+# VmHWM, the high-water mark of the memory map that exec started.  wait4's
+# ru_maxrss is not that: a child started by vfork and exec carries over its
+# parent's peak (`check-x sym:3` reported 201 MB there and 32 MB here while
+# its parent held 160 MiB)
+_PEAK_CHILD = """\
+import sys
+from centra.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(int(kib) / 1024, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _cli_with_peak(*args):
+    """Run the CLI in a child: the finished process and its own peak RSS in MB."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *args],
+                          capture_output=True, text=True)
+    return proc, float(proc.stderr.splitlines()[-1])
+
+
+def test_child_peak_is_not_the_parents():
+    # this process holds 160 MiB of written pages while the child runs; the
+    # child builds S3 and reports its own peak, far below that
+    held = b"\x01" * (160 << 20)
+    proc, peak = _cli_with_peak("check-x", "sym:3")
+    del held
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["member"] is True
+    assert peak < 100
+
+
 def test_cli_check_x_of_a_large_group_stays_small():
     # alt:9 (181 440 elements) is decided by pair relations, with no
     # right-multiplication column per scanned pair: its peak RSS was 253 MB
-    # when the scan closed each pair, and is about 90 MB now
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "centra.cli", "check-x", "alt:9"],
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    # wait4 gives this child's own peak RSS, unmixed with other children's
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    out = json.loads(proc.stdout.read())
-    proc.stdout.close()
+    # when the scan closed each pair, and is about 70 MB now
+    proc, peak = _cli_with_peak("check-x", "alt:9")
     assert proc.returncode == 0
+    out = json.loads(proc.stdout)
     assert out["member"] is False
     G = parse_group_spec("alt:9")
     w = out["witness"]
@@ -505,7 +530,7 @@ def test_cli_check_x_of_a_large_group_stays_small():
         method=out["method"],
     )
     assert classify.verify_witness(G, verdict, "X")
-    assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
+    assert peak < 150
 
 
 def test_manifest_relative_presentation_spec(tmp_path):
