@@ -494,13 +494,11 @@ def is_dihedral_group(G: FiniteGroup) -> bool:
 
 
 def acts_fixed_point_freely(spec: ActionSpec) -> bool:
-    """No non-identity acting element fixes a non-identity target element."""
-    H, N = spec.acting, spec.target
-    for h in range(1, H.order):
-        img = spec.automorphism(h).images
-        if any(img[i] == i for i in range(1, N.order)):
-            return False
-    return True
+    """No non-identity acting element fixes a non-identity target element:
+    no row h > 0 of the action's graph (h, phi(h)) has phi(h) fix a point
+    past the target identity's."""
+    d = spec.acting.degree + 1
+    return not (spec.graph.matrix[1:, d:] == np.arange(d, spec.graph.degree)).any()
 
 
 # -- certificates and simplicity -------------------------------------------------

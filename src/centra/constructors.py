@@ -9,7 +9,6 @@ the CLI and manifest files use to name groups.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from math import factorial, prod
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidActionError, InvariantError
+from .errors import GroupTooLargeError, InvalidActionError, InvariantError
 from .fields import MAX_FIELD_SIZE, FieldSpec, factorize, gf, is_prime
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, check_order, close_generators
 from .perms import Perm
@@ -147,34 +146,21 @@ def semidihedral(order: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 def generalized_quaternion(order: int,
                            order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Q_{2^n} (n >= 3) via its normal form a^i b^j, acting on itself by left
-    multiplication (the regular representation, generated by a and b)."""
+    """Q_{2^n} (n >= 3) acting on itself by left multiplication (the regular
+    representation), generated by a and b.
+
+    With m = 2^(n-1), a^m = 1, b^2 = a^(m/2) and b a b^-1 = a^-1, the element
+    a^i b^j is point j*m + i.  Left multiplication by a sends a^k b^l to
+    a^(k+1) b^l; by b it sends a^k to a^-k b and a^k b to a^(m/2-k).
+    """
     n = _power_of_two_exponent(order)
     if n is None or n < 3:
         raise ValueError("generalized quaternion order must be 2^n with n >= 3")
     check_order(order, order, order_cap)
     m = order // 2
-    half = m // 2
-
-    def mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
-        i, j = e1
-        k, l = e2
-        if j == 0:
-            return ((i + k) % m, l)
-        if l == 0:
-            return ((i - k) % m, 1)
-        return ((i - k + half) % m, 0)
-
-    elems = [(i, j) for j in range(2) for i in range(m)]
-    gens = _left_multiplications(mul, elems, [(1, 0), (0, 1)])
-    return _of_order(close_generators(gens, order_cap), order)
-
-
-def _left_multiplications(mul, elems: list, gens: list) -> list[Perm]:
-    """x -> g*x on the points ``elems`` (x at its position) for each g in
-    ``gens``: generators of the regular representation, without a table."""
-    index = {e: t for t, e in enumerate(elems)}
-    return [Perm([index[mul(g, x)] for x in elems]) for g in gens]
+    a = Perm([l * m + (k + 1) % m for l in range(2) for k in range(m)])
+    b = Perm([m + (-k) % m for k in range(m)] + [(m // 2 - k) % m for k in range(m)])
+    return _of_order(close_generators([a, b], order_cap), order)
 
 
 def _power_of_two_exponent(order: int) -> int | None:
@@ -192,13 +178,13 @@ def extraspecial_p3(p: int, exponent: str = "p",
 
     exponent="p": unitriangular 3x3 matrices over GF(p), acting faithfully
     on p^2 points (cosets of a non-normal order-p subgroup).
-    exponent="p2": C_{p^2} semidirect C_p via its regular representation,
-    generated by left multiplication by (1, 0) and (0, 1).
+    exponent="p2": C_{p^2} semidirect C_p as the affine maps x -> x + 1 and
+    x -> (1 + p) x of Z/p^2, on p^2 points; (1 + p) has order p mod p^2.
     """
     if exponent not in ("p", "p2"):
         raise ValueError('exponent must be "p" or "p2"')
     # before the primality test, which trial-divides up to sqrt(p)
-    check_order(p**3, p * p if exponent == "p" else p**3, order_cap)
+    check_order(p**3, p * p, order_cap)
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime (order-8 cases are D8/Q8)")
     if exponent == "p":
@@ -211,15 +197,9 @@ def extraspecial_p3(p: int, exponent: str = "p",
         G = close_generators([gx, gy], order_cap)
     else:
         p2 = p * p
-
-        def mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
-            i, j = e1
-            k, l = e2
-            return ((i + k * pow(1 + p, j, p2)) % p2, (j + l) % p)
-
-        elems = [(i, j) for j in range(p) for i in range(p2)]
-        gens = _left_multiplications(mul, elems, [(1, 0), (0, 1)])
-        G = close_generators(gens, order_cap)
+        shift = Perm([(x + 1) % p2 for x in range(p2)])
+        scale = Perm([(1 + p) * x % p2 for x in range(p2)])
+        G = close_generators([shift, scale], order_cap)
     return _of_order(G, p**3)
 
 
@@ -326,8 +306,9 @@ class ActionSpec:
     """Semidirect-product data: images of acting generators in Aut(target).
 
     Each image is a permutation of the target's element indices; validation
-    checks every image is an automorphism and the assignment extends to a
-    homomorphism from the acting group (exhaustive product consistency).
+    checks every image is an automorphism and that the assignment extends
+    to a homomorphism phi from the acting group, whose graph (``_graph``)
+    is kept: row h of ``graph`` is h followed by phi(h).
     """
 
     acting: FiniteGroup
@@ -353,17 +334,7 @@ class ActionSpec:
         self.images = fixed
         for k, img in self.images.items():
             _check_automorphism(self.target, img, k)
-        self._phi = self._extend()
-
-    def _extend(self) -> list[Perm]:
-        """phi(h) for every acting-group element, verified consistent."""
-        images = [self.images[k] for k in sorted(self.images)]
-        return _extend_homomorphism(
-            self.acting, images, Perm.identity(self.target.order), operator.mul
-        )
-
-    def automorphism(self, h: int) -> Perm:
-        return self._phi[h]
+        self.graph = _graph(self.acting, [fixed[k] for k in range(len(fixed))])
 
     @staticmethod
     def from_json(data, base_dir: Path | None = None,
@@ -384,59 +355,59 @@ class ActionSpec:
         return ActionSpec(acting, target, images)
 
 
-def _extend_homomorphism(H: FiniteGroup, images: list, identity, mul) -> list:
-    """phi(h) for every element index h of H, where phi(1) = ``identity``
-    and phi(g * h) = mul(images[k], phi(h)) for the k-th generator g.
+def _graph(H: FiniteGroup, images: Sequence[Perm]) -> FiniteGroup:
+    """The graph {(h, phi(h))} of the map phi sending the k-th generator of H
+    to ``images[k]``: the group generated by each generator beside its
+    image, on H's points followed by the images' points.
 
-    Walks the Cayley graph of H from the identity and checks every edge, so
-    raises InvalidActionError unless the images extend to a homomorphism.
+    The graph maps onto H, so it has order |H| iff phi extends to a
+    homomorphism of H (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, ch. 4); else the closure passes the cap of |H| and this
+    raises InvalidActionError.  An element of the graph is then determined
+    by its H part, so the greedy base lies in H's points and is H's own, and
+    row h of the graph is (h, phi(h)), in H's canonical order.
     """
-    edges = list(zip(H.generator_indices(), images))
-    phi = [None] * H.order
-    phi[0] = identity
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for gi, img in edges:
-                h2 = H.mul(gi, h)
-                v = mul(img, phi[h])
-                if phi[h2] is None:
-                    phi[h2] = v
-                    nxt.append(h2)
-                elif phi[h2] != v:
-                    raise InvalidActionError(
-                        "generator images do not extend to a homomorphism"
-                    )
-        frontier = nxt
-    return phi
+    d = H.degree
+    gens = [Perm._unchecked(g.images + tuple(d + v for v in img.images))
+            for g, img in zip(H.generators, images)]
+    try:
+        graph = close_generators(gens, H.order)
+    except GroupTooLargeError:
+        raise InvalidActionError(
+            "generator images do not extend to a homomorphism"
+        ) from None
+    if not np.array_equal(graph.matrix[:, :d], H.matrix):
+        raise InvariantError("graph rows are not in the order of H's rows")
+    return graph
 
 
 def automorphism_from_generator_images(
     G: FiniteGroup, images: Sequence[int]
 ) -> Perm:
-    """Extend generator-image element indices to a full automorphism.
+    """The automorphism of G sending its k-th generator to the element of
+    index ``images[k]``, as a permutation of G's element indices.
 
-    Extends multiplicatively over the Cayley graph, checking consistency on
-    every edge; raises InvalidActionError if the images do not define an
-    endomorphism or the result is not bijective.
+    Closes the graph of the map from G to itself (``_graph``), which raises
+    InvalidActionError unless the images extend to an endomorphism phi;
+    phi(h) is found from the second half of row h with G's own lookup, and
+    InvalidActionError is raised if phi is not bijective.
     """
     if len(images) != len(G.generators):
         raise InvalidActionError("one image per generator is required")
-    out = _extend_homomorphism(G, [int(v) for v in images], 0, G.mul)
+    graph = _graph(G, [G.element(int(v)) for v in images])
+    out = G._find(graph.matrix[:, G.base + G.degree] - G.degree).tolist()
     if len(set(out)) != G.order:
         raise InvalidActionError("generator images are not an automorphism")
-    return Perm(out)  # type: ignore[arg-type]
+    return Perm._unchecked(tuple(out))
 
 
 def power_automorphism(G: FiniteGroup, k: int) -> Perm:
     """The map x -> x^k as an element-index permutation (abelian G)."""
     if not G.is_abelian:
         raise InvalidActionError("power maps are automorphisms of abelian groups")
-    images = [G.power(i, k) for i in range(G.order)]
-    if len(set(images)) != G.order:
-        raise InvalidActionError(f"x -> x^{k} is not bijective here")
-    return Perm(images)
+    return automorphism_from_generator_images(
+        G, [G.power(g, k) for g in G.generator_indices()]
+    )
 
 
 def _check_automorphism(N: FiniteGroup, img: Perm, label) -> None:
@@ -465,31 +436,27 @@ def _check_automorphism(N: FiniteGroup, img: Perm, label) -> None:
 
 def semidirect(spec: ActionSpec,
                order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """The semidirect product N x| H on |N|*|H| points.
+    """The semidirect product N x| H on |N| + deg(H) points.
 
-    Multiplication is (n1, h1)(n2, h2) = (n1 * phi(h1)(n2), h1 h2); the
-    permutation action is the regular action through left multiplication,
-    with point (n, h) at index n*|H| + h.
+    Multiplication is (n1, h1)(n2, h2) = (n1 * phi(h1)(n2), h1 h2).  (n, h)
+    acts on N's element indices by x -> n * phi(h)(x), and on H's own
+    points, which follow them, as h.  That is an action: (n1, h1)(n2, h2)
+    sends x to n1 * phi(h1)(n2 * phi(h2)(x)) = n1 * phi(h1)(n2) *
+    phi(h1 h2)(x), as the product does.  It is faithful: if (n, h) fixes
+    every point, h fixes H's points, so h = 1, and then n * n' = n' gives
+    n = 1.  So N's generators act by left multiplication on N's indices,
+    H's generators as phi(h) beside h, and (n, h) is read off an element as
+    the image of N's index 0 and its H part.
     """
     N, H = spec.target, spec.acting
-    nh = H.order
-
-    def pt(n: int, h: int) -> int:
-        return n * nh + h
-
-    gens = []
-    for gn in N.generator_indices():
-        left = [N.mul(gn, n) for n in range(N.order)]
-        gens.append(
-            Perm(pt(left[n], h) for n in range(N.order) for h in range(H.order))
-        )
-    for gpos, gh in enumerate(H.generator_indices()):
-        auto = spec.images[gpos].images
-        left = [H.mul(gh, h) for h in range(H.order)]
-        gens.append(
-            Perm(pt(auto[n], left[h]) for n in range(N.order) for h in range(H.order))
-        )
-    return _of_order(close_generators(gens, order_cap), N.order * H.order)
+    n, E = N.order, N.matrix
+    fixed = tuple(range(n, n + H.degree))
+    # (g * x)[b] = g[x[b]], for every x at once
+    gens = [Perm._unchecked(tuple(N._find(E[g][E[:, N.base]]).tolist()) + fixed)
+            for g in N.generator_indices()]
+    gens += [Perm._unchecked(spec.images[k].images + tuple(n + v for v in h.images))
+             for k, h in enumerate(H.generators)]
+    return _of_order(close_generators(gens, order_cap), n * H.order)
 
 
 def regular_representation(mul_table: Sequence[Sequence[int]]) -> FiniteGroup:

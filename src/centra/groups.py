@@ -83,9 +83,9 @@ from .perms import Perm
 
 DEFAULT_ORDER_CAP = 200_000
 # bytes an element matrix (elements x degree x 4) may take.  The largest
-# matrix that the corpus, the bundled manifest and the benchmark build is a
-# regular semidirect product of order 1029 in the manifest, 4.2 MB; C2000
-# from a presentation acts on 141 points, 1.1 MB.  256 MiB leaves 64 times
+# matrix that the corpus, the bundled manifest and the benchmark build is
+# psl2:31's in the benchmark, 1.9 MB; the manifest's semidirect product of
+# order 1029 acts on 346 points, 1.4 MB.  256 MiB leaves over 100 times
 # that, and admits regular representations up to order 8192.
 ELEMENT_STORAGE_BUDGET = 1 << 28
 # keys are looked up in a dense int32 table while it takes at most this many

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from centra import groups
 from centra.classify import (
     _relations,
+    acts_fixed_point_freely,
     in_class_C,
     in_class_X,
     in_class_X_bruteforce,
@@ -35,7 +36,7 @@ from centra.constructors import (
     power_automorphism,
     semidirect,
 )
-from centra.errors import GroupTooLargeError
+from centra.errors import GroupTooLargeError, InvalidActionError
 from centra.fields import factorize
 from centra.groups import SubgroupRef, close_generators
 from centra.lattice import DEFAULT_SUBGROUP_CAP, all_subgroups, maximal_subgroups
@@ -165,6 +166,60 @@ def test_semidirect_products_match_oracles(params):
     G = _semidirect(*params)
     _check_scan(G)
     _check_class_c(G)
+
+
+def _power_map(n: int, k: int) -> Perm:
+    """x -> x^k on C_n, whose element i is the i-th power of its generator."""
+    return Perm([k * i % n for i in range(n)])
+
+
+@PROPS
+@given(semidirect_params())
+def test_cyclic_actions_accepted_iff_homomorphisms(params):
+    # x -> x^k is an automorphism of C_n for each unit k, and the generator
+    # of C_m may map to it iff its order divides m
+    n, m, _, _ = params
+    for k in (k for k in range(1, n) if gcd(k, n) == 1):
+        try:
+            ActionSpec(cyclic(m), cyclic(n), {0: _power_map(n, k)})
+            accepted = True
+        except InvalidActionError:
+            accepted = False
+        assert accepted == (pow(k, m, n) == 1), k
+
+
+def _fixed_point_free_reference(n: int, m: int, k: int) -> bool:
+    """The per-element loop over C_m acting on C_n, its generator g by
+    x -> x^k, so that g^j acts by x -> x^(k^j)."""
+    for j in range(1, m):
+        img = _power_map(n, pow(k, j, n)).images
+        if any(img[i] == i for i in range(1, n)):
+            return False
+    return True
+
+
+@PROPS
+@given(semidirect_params())
+@example((9, 2, 8, 2))
+@example((5, 4, 2, 3))
+@example((7, 3, 1, 1))
+def test_fixed_point_freeness_matches_the_per_element_loop(params):
+    n, m, k, _ = params
+    spec = ActionSpec(cyclic(m), cyclic(n), {0: _power_map(n, k)})
+    assert acts_fixed_point_freely(spec) == _fixed_point_free_reference(n, m, k)
+
+
+@PROPS
+@given(semidirect_params())
+def test_power_automorphism_is_the_elementwise_power_map(params):
+    n, m, k, c = params
+    G = direct_product(cyclic(n), cyclic(m), cyclic(c))
+    powers = [G.power(i, k) for i in range(G.order)]
+    if len(set(powers)) == G.order:
+        assert power_automorphism(G, k).images == tuple(powers)
+    else:
+        with pytest.raises(InvalidActionError):
+            power_automorphism(G, k)
 
 
 def _cut_c_order(m: int, n: int) -> int:

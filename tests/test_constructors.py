@@ -27,6 +27,7 @@ from centra.constructors import (
     semidirect,
     symmetric,
 )
+from centra.constructors import _graph
 from centra.errors import BudgetError, GroupTooLargeError, InvalidActionError
 from centra.fields import gf
 from centra.groups import close_generators
@@ -259,20 +260,24 @@ def test_semidirect_trivial_action_is_direct_product():
 
 
 def test_semidirect_multiplication_convention():
-    # (n1, h1)(n2, h2) = (n1 * phi(h1)(n2), h1 h2), point (n,h) at n*|H|+h
-    N, H = cyclic(3), cyclic(2)
-    spec = ActionSpec(H, N, {0: Perm([0, 2, 1])})
-    G = semidirect(spec)
-    gens = G.generators
-    gn, gh = gens[0], gens[1]
-    # left multiplication by (n-gen, e) fixes the H coordinate
-    for n in range(3):
-        for h in range(2):
-            pt = n * 2 + h
-            img = gn(pt)
-            assert img % 2 == h
-    # (e, h-gen) twists the N coordinate by the automorphism before shifting
-    assert gh(0 * 2 + 0) == 0 * 2 + 1
+    # (n1, h1)(n2, h2) = (n1 * phi(h1)(n2), h1 h2) on every pair, with (n, h)
+    # read off each element's action: n is the image of N's index 0 and h
+    # the part on H's points, which follow N's |N| indices.  S3 and
+    # C7 x| C3, H's generator acting by x -> x^2 (index i of C_n is the
+    # i-th power of its generator)
+    for n, m in ((3, 2), (7, 3)):
+        N, H, auto = cyclic(n), cyclic(m), Perm([2 * i % n for i in range(n)])
+        G = semidirect(ActionSpec(H, N, {0: auto}))
+        assert G.degree == n + H.degree
+        # phi(h) for h = g^j, from the generator's image alone
+        [g] = H.generator_indices()
+        phi = {H.power(g, j): auto**j for j in range(m)}
+        parts = [(row[0], H.index_of(Perm(v - n for v in row[n:])))
+                 for row in G.matrix.tolist()]
+        assert sorted(parts) == [(x, h) for x in range(n) for h in range(m)]
+        for i, (n1, h1) in enumerate(parts):
+            for j, (n2, h2) in enumerate(parts):
+                assert parts[G.mul(i, j)] == (N.mul(n1, phi[h1](n2)), H.mul(h1, h2))
 
 
 def test_invalid_actions_rejected():
@@ -349,10 +354,22 @@ def _c9_by_c3_table():
     "spec, table", [("q:16", _quaternion_16_table), ("xsp:3,p2", _c9_by_c3_table)]
 )
 def test_table_free_constructors_match_regular_representation(spec, table):
+    # the table's a^i b^j is element j * |a| + i, so R is generated by a and
+    # b; the graph of a -> a, b -> b to the constructor's generators closes
+    # to order |R|, so it extends to an isomorphism
     G, R = parse_group_spec(spec), regular_representation(table())
-    assert G.generators == R.generators
-    assert G.matrix.tolist() == R.matrix.tolist()
-    assert G.to_json() == R.to_json()
+    assert [R.index_of(g) for g in R.generators] == [1, R.element_order(1)]
+    assert _graph(R, G.generators).order == R.order == G.order
+    if spec == "q:16":
+        # the regular representation itself, row for row
+        assert G.generators == R.generators
+        assert G.matrix.tolist() == R.matrix.tolist()
+        assert G.to_json() == R.to_json()
+    else:
+        # a: x -> x + 1 and b: x -> 4x on Z/9
+        assert G.degree == 9
+        assert G.generators == (Perm([(x + 1) % 9 for x in range(9)]),
+                                Perm([4 * x % 9 for x in range(9)]))
 
 
 def test_presentation_spec_obeys_order_cap(tmp_path):

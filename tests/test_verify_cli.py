@@ -27,8 +27,16 @@ from centra.perms import parse_cycles, perms_from_cycles
 from centra import presentations
 from centra.presentations import parse_presentation, realize
 
-# the module, which the package's ``verify`` function shadows
 verify_module = importlib.import_module("centra.verify")
+
+
+def test_package_verify_is_the_module():
+    # ``import centra.verify as V`` reads the package's attribute, so a
+    # function ``verify`` re-exported by the package would shadow the module
+    import centra.verify as V
+
+    assert V is verify_module
+    assert V.run_manifest is run_manifest
 
 
 def test_theorem_id_validation():
@@ -411,8 +419,15 @@ def test_cli_refuses_deep_nesting(word, column, tmp_path, monkeypatch, capsys):
     ("check-x", [1, 2], "action data must be a JSON object"),
     ("check-x", {"acting": "cyclic:2", "target": "cyclic:3", "images": {"0": 5}},
      "each image in action data must be a JSON list"),
+    # inversion is an automorphism of C3, but has order 2, not 3
+    ("check-x", {"acting": "cyclic:3", "target": "cyclic:3", "images": {"0": [0, 2, 1]}},
+     "generator images do not extend to a homomorphism"),
+    ("check-x", {"acting": "cyclic:2", "target": "cyclic:4",
+                 "images": {"0": [0, 2, 1, 3]}},
+     "image for generator 0 is not an automorphism"),
 ], ids=["no-theorem", "no-expect", "object", "list-entry", "spec-not-string",
-        "empty-action", "list-action", "image-not-list"])
+        "empty-action", "list-action", "image-not-list", "not-homomorphism",
+        "not-automorphism"])
 def test_cli_malformed_file_exits_2(command, data, message, tmp_path, monkeypatch,
                                     capsys):
     (tmp_path / "a.json").write_text(json.dumps(data))
@@ -421,7 +436,7 @@ def test_cli_malformed_file_exits_2(command, data, message, tmp_path, monkeypatc
     assert main([command, arg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    assert message in err and "group too large" not in err
 
 
 def test_presentation_auto_hint_suffix(monkeypatch, capsys):
