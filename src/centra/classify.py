@@ -286,7 +286,8 @@ def _relations(G: FiniteGroup, a: int, reps: list[tuple[int, int]],
     # order), and b commutes with a^p if a has order p^m, m > 1
     if t := rows[_X_B]:
         xs = [cands[i] for i in t]
-        ok = np.array([G.cyclic_rep(c) == x for c, x in zip(G.conjugates(xs, a), xs)])
+        conjugates = G.conjugates(xs, [a])[0].tolist()
+        ok = np.array([G.cyclic_rep(c) == x for c, x in zip(conjugates, xs)])
         if e > 1:
             ap = G.power(a, p)
             ok &= (E[B[t], E[ap, base]] == E[ap][on_base[t]]).all(1)
@@ -473,20 +474,16 @@ def structure(G: FiniteGroup) -> StructureDescriptor:
 
 def is_dihedral_group(G: FiniteGroup) -> bool:
     """Order 2m with a cyclic <y> of order m inverted by an outside involution."""
-    n = G.order
-    if n % 2:
+    if G.order % 2:
         return False
-    m = n // 2
     orders = G.element_orders()
+    involutions = [x for x in range(G.order) if orders[x] == 2]
     for y in range(G.order):
-        if orders[y] != m:
-            continue
-        ymask = G.cyclic_mask(y)
-        yinv = G.inv(y)
-        for x in range(1, G.order):
-            if orders[x] == 2 and not (ymask >> x) & 1:
-                if G.conj(y, x) == yinv:
-                    return True
+        if orders[y] == G.order // 2:
+            ymask = G.cyclic_mask(y)
+            outside = [x for x in involutions if not (ymask >> x) & 1]
+            if (G.conjugates([y], outside) == G.inv(y)).any():
+                return True
     return False
 
 

@@ -542,7 +542,9 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
     if head == "q":
         return generalized_quaternion(int(arg), order_cap)
     if head == "xsp":
-        pt, expo = arg.split(",")
+        pt, comma, expo = arg.partition(",")
+        if not comma or "," in expo:
+            raise ValueError(f"bad group spec {spec!r}: expected xsp:P,p or xsp:P,p2")
         return extraspecial_p3(int(pt), expo.strip(), order_cap)
     if head == "sym":
         return symmetric(int(arg), order_cap)

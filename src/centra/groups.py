@@ -36,38 +36,38 @@ nothing when they already come in order (one-level chains, coset tables,
 induced subgroups), and the same sorted keys fill the lookup: a dense int32
 table from key to index when the table is at most a few times the size of
 the matrix, else the keys themselves, binary-searched.  Every
-index-level operation (products, inverses, conjugation batches,
-right-multiplication columns, commute masks) computes only the base images
-of its results with numpy and finds them in one lookup.
-Conjugation batches and commute masks work one base point at a time with
-flat ``take``s, so neither makes a |G| x |B| temporary.
+index-level operation (products, conjugates, right-multiplication columns,
+commute masks) computes only the base images of its results with numpy and
+finds them in one lookup.  One kernel, ``conjugates(xs, gs)``, computes
+every g^-1 * x * g (class maps, W-orbits, normalizers, Sylow subgroups),
+reading g^-1 as the row of the inverse that the walk of <g> recorded, a
+block of at most ``_BLOCK`` entries per lookup; commute masks work one base
+point at a time, so neither makes a |G| x |B| temporary.
 Closures and orbits are one Python walk, ``_walk``, over index maps
 (``col[x]`` = image of element x), each the lookup result kept as a flat
 int32 buffer (a ``memoryview``, 4 bytes per entry, whose items index as
 Python ints): a subgroup is the walk from the identity over its seeds'
 right-multiplication columns; conjugacy classes and normal closures walk
 one conjugation map per generator of G, the classes one at a time, each
-with its size (an abelian group needs no map).  The orbits of cyclic
-subgroups under W are the conjugates of each orbit's least member by every
-element of W, in one batch.
+with its size (an abelian group needs no map).
 ``Perm`` objects are made only at the boundary, one index at a time with
 ``element(i)``; ``elements`` is a lazily cached tuple of all of them.
 A group keeps only its right-multiplication columns and the per-element
 cyclic facts (order, cyclic mask, least generator, inverse); centers,
 centralizers and conjugacy classes are computed again on each call.  Each
-cyclic subgroup is walked only when an order, cyclic mask or least
-generator of one of its elements is first asked for, or an orbit batch
-needs the inverse of one of them, so a scan that reads a few
-centralizers walks only their cyclic subgroups.  x^m is the
-identity iff it fixes B, so a walk finds the order of x as the lcm of the
-cycle lengths of the base points, and all its powers from their base
-images in one lookup.
+cyclic subgroup is walked only when an order, cyclic mask, least generator
+or inverse (every inverse comes from this walk) of one of its elements is
+first asked for, so a scan that reads a few centralizers walks only their
+cyclic subgroups and those of G's generators.  x^m is the identity iff it
+fixes B, so a walk finds the order of x as the lcm of the cycle lengths of
+the base points, and all its powers from their base images in one lookup.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -99,8 +99,8 @@ _TABLE_PER_MATRIX = 8
 # A block's temporaries then take about 0.3 MB; 1 << 16 raised the peak of
 # small groups (q:256 0.66 -> 1.2 MB under tracemalloc) with no measurable
 # gain in time, and 1 << 12 slowed the order-1029 group of the manifest by
-# 70%.  Conjugation batches use the same blocks (elements x base points):
-# one block for a whole map of alt:9 raised `check-x alt:9` from 70 to 87 MB.
+# 70%.  ``conjugates`` uses the same blocks (conjugators x elements x base
+# points): one block for a whole map of alt:9 raised `check-x alt:9` 70->87 MB.
 _BLOCK = 1 << 14
 # a chain level whose transversal holds at most this many entries (orbit x
 # degree) works on Python lists, one row at a time; a larger one in numpy
@@ -293,7 +293,7 @@ class _Chain:
             L.inverse.reshape(-1)[U + at] = np.arange(d, dtype=np.int32)
         return L.inverse
 
-    def _inverse_row(self, L: _Level, r: int) -> list[int]:
+    def _transversal_inverse(self, L: _Level, r: int) -> list[int]:
         """The inverse of the level's r-th transversal row, as a list."""
         inv = L.inverse_rows[r]
         if inv is None:
@@ -320,7 +320,7 @@ class _Chain:
                 s = self.images[g]
                 x = [s[y] for y in rows[where[p]]]
                 if x != rows[where[q]]:
-                    w = self._inverse_row(L, where[q])
+                    w = self._transversal_inverse(L, where[q])
                     found = self._sift_row([w[y] for y in x], level + 1)
                     if found is not None:
                         L.tested = k + 1
@@ -355,7 +355,7 @@ class _Chain:
             r = L.where[h[L.point]]
             if r < 0:
                 return h, level
-            w = self._inverse_row(L, r)
+            w = self._transversal_inverse(L, r)
             h = [w[x] for x in h]
         return None if h == self.identity else (h, len(self.levels))
 
@@ -422,7 +422,7 @@ class FiniteGroup:
             self._keys = keys
         # per element: order, bit-set of <i>, its least generator and its
         # inverse, filled by _walk_cyclic on demand (an order or mask of 0 is
-        # not yet known; the inverse is known once the mask is).  The
+        # not yet known; the inverse is known once the order is).  The
         # inverses are an int32 buffer, like an index map: 4 bytes per entry
         self._orders = [1] + [0] * (self.order - 1)
         self._masks = [1] + [0] * (self.order - 1)
@@ -518,35 +518,41 @@ class FiniteGroup:
         E = self.matrix
         return int(self._find(E[i, E[j, self.base]]))
 
-    def _inverse_row(self, i: int) -> np.ndarray:
-        # inverse[row[p]] = p, the points p read off the identity row
-        row = self.matrix[i]
-        inv = np.empty_like(row)
-        inv.put(row, self.matrix[0])
-        return inv
-
     def inv(self, i: int) -> int:
-        return int(self._find(self._inverse_row(i)[self.base]))
+        """Index of elements[i]^-1, recorded by the walk of <i>."""
+        if not self._orders[i]:
+            self._walk_cyclic(i)
+        return self._inverses[i]
 
-    def conjugates(self, xs: Sequence[int], g: int) -> memoryview:
-        """Indices of g^-1 * x * g for each index x in ``xs`` (a sequence or
-        an int array), in one batch, as an index map."""
-        E, inverse = self.matrix, self._inverse_row(g)
-        at = np.asarray(xs, dtype=np.intp) * self.degree
-        gb = E[g].take(self.base)[:, None]
-        out = np.empty(len(at), dtype=np.int32)
-        # (g^-1 * x * g)[b] = g^-1[x[g[b]]]: a row per base point b holds
-        # x[g[b]] for every x, taken from the flat matrix at x * degree + g[b],
-        # in blocks of at most _BLOCK entries
-        step = _BLOCK // max(1, len(self.base))
-        for lo in range(0, len(at), step):
-            cols = E.take(gb + at[lo : lo + step])
-            out[lo : lo + step] = self._find(inverse.take(cols).T)
-        return memoryview(out)
+    def conjugates(self, xs: Sequence[int], gs: Sequence[int]) -> np.ndarray:
+        """out[j, i] = index of g_j^-1 * x_i * g_j for the indices x_i in
+        ``xs`` and g_j in ``gs`` (sequences or int arrays), as int32.
 
-    def conj(self, i: int, g: int) -> int:
-        """Index of elements[i]^elements[g] = g^-1 * x * g."""
-        return self.conjugates([i], g)[0]
+        g^-1 is the matrix row at ``_inverses[g]``, walking <g> first if need
+        be, and (g^-1 * x * g)[b] = g^-1[x[g[b]]] is read from the flat matrix;
+        each block of at most _BLOCK entries is found in one lookup."""
+        E, d, k = self.matrix, self.degree, max(1, len(self.base))
+        xs = np.asarray(xs, dtype=np.intp)
+        gs = np.asarray(gs, dtype=np.intp)
+        inverses = np.asarray(self._inverses)
+        for g in gs[inverses.take(gs) == 0].tolist():
+            if not self._orders[g]:
+                self._walk_cyclic(g)
+        inverse_at = inverses.take(gs).astype(np.intp)[:, None, None] * d
+        # images in (conjugator, element, base point) order, so that each
+        # block's base images are contiguous rows for the lookup
+        gb = E.take(gs[:, None, None] * d + self.base)
+        at, flat = xs[:, None] * d, E.reshape(-1)
+        out = np.empty((len(gs), len(xs)), dtype=np.int32)
+        xstep = max(1, min(len(xs), _BLOCK // k))
+        gstep = max(1, _BLOCK // (k * xstep))
+        for g in range(0, len(gs), gstep):
+            rows = slice(g, g + gstep)
+            for x in range(0, len(xs), xstep):
+                cols = slice(x, x + xstep)
+                images = flat.take(inverse_at[rows] + flat.take(gb[rows] + at[cols]))
+                out[rows, cols] = self._find(images)
+        return out
 
     def power(self, i: int, k: int) -> int:
         """Index of elements[i]**k."""
@@ -705,8 +711,8 @@ class FiniteGroup:
 
     def _conjugation_maps(self) -> list[memoryview]:
         """map[x] = index of g^-1 * x * g, one map per generator g of G."""
-        everything = np.arange(self.order)
-        return [self.conjugates(everything, g) for g in self.generator_indices()]
+        maps = self.conjugates(np.arange(self.order), self.generator_indices())
+        return list(map(_index_map, maps))
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Orbits of conjugation, each sorted, listed by least representative."""
@@ -737,21 +743,17 @@ class FiniteGroup:
         """Least member of each orbit of the subgroup whose elements are
         ``ws``, acting by conjugation, on the cyclic subgroups <r> for r in
         ``reps`` (ascending cyclic_reps() fixed points whose subgroups it
-        permutes), found by conjugating it by every w at once."""
-        E, d = self.matrix, self.degree
-        for w in ws:
-            self.cyclic_mask(w)  # walks <w>, which records w^-1
-        ws = np.asarray(ws, dtype=np.intp)
-        inverse_at = np.asarray(self._inverses).take(ws).astype(np.intp) * d
-        # w[b] for every w, a row per base point b, from the flat matrix
-        wb = E.take(self.base[:, None] + ws * d)
+        permutes), found by conjugating it by every w, a chunk of one block
+        of the members not yet in a known orbit at a time."""
+        step = max(1, _BLOCK // (max(1, len(self.base)) * len(ws)))
         out, seen = [], set()
-        for r in reps:
-            if r not in seen:
-                out.append(r)
-                # (w^-1 * r * w)[b] = w^-1[r[w[b]]]
-                images = E.take(inverse_at + self.matrix[r].take(wb))
-                seen.update(map(self.cyclic_rep, self._find(images.T).tolist()))
+        unseen = (r for r in reps if r not in seen)
+        while chunk := list(islice(unseen, step)):
+            images = self.conjugates(chunk, ws)
+            for i, r in enumerate(chunk):
+                if r not in seen:
+                    out.append(r)
+                    seen.update(map(self.cyclic_rep, images[:, i].tolist()))
         return out
 
     # -- generated structure ------------------------------------------------
@@ -783,13 +785,11 @@ class FiniteGroup:
 
     def commutator_subgroup(self, A: "SubgroupRef", B: "SubgroupRef") -> "SubgroupRef":
         """[A, B] for subgroups of this group (normal closure of [a, b])."""
-        comms = set()
-        for a in A.generating_set():
-            ai = self.inv(a)
-            for b in B.generating_set():
-                bi = self.inv(b)
-                comms.add(self.mul(self.mul(self.mul(ai, bi), a), b))
-        comms.discard(0)
+        # [a, b] = a^-1 * b^-1 * a * b = a^-1 * a^b
+        gens = A.generating_set()
+        inverses = [self.inv(a) for a in gens]
+        rows = self.conjugates(gens, B.generating_set()).tolist()
+        comms = {self.mul(ai, ab) for row in rows for ai, ab in zip(inverses, row)} - {0}
         if not comms:
             return self.trivial_subgroup()
         return self.normal_closure(sorted(comms))
@@ -945,7 +945,3 @@ class SubgroupRef:
         """The subgroup as a standalone FiniteGroup (same degree); its rows,
         taken in ascending index order, are already in canonical order."""
         return FiniteGroup(self.generators(), self.parent.matrix[self.indices()])
-
-    def conjugate_mask(self, g: int) -> int:
-        """Bit-set of self^g."""
-        return self.parent.mask_of(self.parent.conjugates(self.indices(), g))

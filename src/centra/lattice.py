@@ -4,13 +4,20 @@ all_subgroups uses layered closure: seed with every cyclic subgroup, then
 repeatedly extend each known subgroup by a cyclic-subgroup representative
 and close, to a fixpoint.  Output order is deterministic (sorted by order,
 then bit-set), so identical runs produce identical lists.
+Normalizers and Sylow subgroups conjugate a subgroup's generators or members
+by every element of G with the one kernel, ``FiniteGroup.conjugates``, in
+blocks of conjugators: no Python loop over G, and no |G| x |S| array.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
+import numpy as np
+
 from .errors import InvariantError, SubgroupCapError
 from .fields import is_prime
-from .groups import FiniteGroup, SubgroupRef
+from .groups import _BLOCK, FiniteGroup, SubgroupRef
 
 DEFAULT_SUBGROUP_CAP = 2000
 
@@ -66,33 +73,30 @@ def maximal_subgroups(G: FiniteGroup) -> list[SubgroupRef]:
     return maximal
 
 
+def _conjugate_blocks(G: FiniteGroup, xs: list[int]) -> Iterator[np.ndarray]:
+    """The elements ``xs`` conjugated by each element of G, a row per
+    conjugator, in ascending blocks of at most _BLOCK entries."""
+    step = max(1, _BLOCK // len(xs))
+    for lo in range(0, G.order, step):
+        yield G.conjugates(xs, range(lo, min(lo + step, G.order)))
+
+
 def normalizer(G: FiniteGroup, S: SubgroupRef) -> SubgroupRef:
-    """Elements g with S^g = S, found by elementwise scan."""
-    mask = 0
-    smask = S.mask
-    for g in range(G.order):
-        if S.conjugate_mask(g) == smask:
-            mask |= 1 << g
-    return SubgroupRef(G, mask)
-
-
-def _p_elements(G: FiniteGroup, p: int) -> list[int]:
-    orders = G.element_orders()
-    out = []
-    for i in range(1, G.order):
-        k = orders[i]
-        while k % p == 0:
-            k //= p
-        if k == 1 and orders[i] > 1:
-            out.append(i)
-    return out
+    """Elements g with S^g = S: S^g has |S| elements and is generated by the
+    conjugates of S's generators, so S^g = S iff those lie in S."""
+    inside = np.zeros(G.order, dtype=bool)
+    inside[S.indices()] = True
+    gens = S.generating_set()
+    flags = np.concatenate([inside[rows].all(1) for rows in _conjugate_blocks(G, gens)])
+    return SubgroupRef(G, G.mask_of(np.flatnonzero(flags).tolist()))
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupRef:
     """A Sylow p-subgroup, grown through successive normalizers.
 
-    Among the conjugate Sylow subgroups, returns the one with the
-    lexicographically least member list, so reports are reproducible.
+    Among the conjugate Sylow subgroups, returns the one with the least
+    bit-set (the least member list, read in descending order), so reports
+    are reproducible.
     Returns the trivial subgroup when p does not divide |G|.
     """
     if not is_prime(p):
@@ -105,28 +109,27 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> SubgroupRef:
     if target == 1:
         return G.trivial_subgroup()
 
-    candidates = _p_elements(G, p)
+    # p-elements but 1: orders divide |G|, so a power of p is one dividing target
+    orders = G.element_orders()
+    candidates = [i for i, o in enumerate(orders) if o > 1 and target % o == 0]
     P = G.generated_subgroup([candidates[0]])
     while P.order < target:
         N = normalizer(G, P)
-        grown = False
         for x in candidates:
-            if P.contains_index(x) or not N.contains_index(x):
-                continue
-            trial = G.generated_subgroup(P.generating_set() + [x])
-            if target % trial.order == 0:
-                P = trial
-                grown = True
-                break
-        if not grown:
+            if N.contains_index(x) and not P.contains_index(x):
+                trial = G.generated_subgroup(P.generating_set() + [x])
+                if target % trial.order == 0:
+                    P = trial
+                    break
+        else:
             raise InvariantError("Sylow growth stalled; should be impossible")
 
     # all Sylow p-subgroups are conjugate; take the least bit-set
     best = P.mask
-    for g in range(G.order):
-        m = P.conjugate_mask(g)
-        if m < best:
-            best = m
+    for rows in _conjugate_blocks(G, P.indices()):
+        rows = np.sort(rows)[:, ::-1]
+        least = rows[np.lexsort(rows.T[::-1])[0]]
+        best = min(best, G.mask_of(least.tolist()))
     return SubgroupRef(G, best)
 
 

@@ -305,10 +305,13 @@ def test_scan_closure_counts_are_pinned():
     # 10 on dihedral:64, 17 for 10 on dihedral:1024, 4 for 6 on psl2:7).
     # The order of each class representative z is read first, to skip z
     # when |C_G(z)| = |z|; that walks 3, 3 and 4 <z> that W.is_cyclic()
-    # used to walk, so it adds no lookup.
-    assert _scan_work("dihedral:64") == (0, 69)
-    assert _scan_work("psl2:7") == (0, 26)
-    assert _scan_work("dihedral:1024") == (0, 557)
+    # used to walk, so it adds no lookup.  The least members of the orbits
+    # are conjugated a chunk at a time, one lookup per chunk, where each
+    # orbit took a lookup of its own (69, 26 and 557 lookups); the class
+    # maps walk each generator's <g> for its inverse, which is in the count.
+    assert _scan_work("dihedral:64") == (0, 58)
+    assert _scan_work("psl2:7") == (0, 24)
+    assert _scan_work("dihedral:1024") == (0, 543)
 
 
 @pytest.mark.parametrize("spec", ["psl2:7", "sym:5", "dihedral:64", "psl2:31"])
@@ -388,11 +391,13 @@ def _cyclic_walks(spec: str) -> tuple[int, int]:
 def test_scan_cyclic_walk_counts_are_pinned():
     # the scan asks for orders and least generators only inside the
     # centralizers it scans; walking every cyclic subgroup first cost
-    # 3 380, 6 973, 2 038 and 78 walks
-    assert _cyclic_walks("psl2:31") == (32, 3380)
-    assert _cyclic_walks("alt:8") == (73, 6973)
-    assert _cyclic_walks("sym:7") == (133, 2038)
-    assert _cyclic_walks("psl2:7") == (9, 78)
+    # 3 380, 6 973, 2 038 and 78 walks.  The class maps read each
+    # generator's inverse from the walk of its <g>, which adds 2, 1, 1 and 2
+    # walks to the 32, 73, 133 and 9 of a scan that computed the inverse row
+    assert _cyclic_walks("psl2:31") == (34, 3380)
+    assert _cyclic_walks("alt:8") == (74, 6973)
+    assert _cyclic_walks("sym:7") == (134, 2038)
+    assert _cyclic_walks("psl2:7") == (11, 78)
 
 
 def test_violation_needing_generators_of_order_four():

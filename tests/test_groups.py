@@ -476,23 +476,26 @@ def test_index_arithmetic_matches_perm_arithmetic(name):
         k = rng.randrange(-7, 8)
         assert el[G.mul(i, j)] == el[i] * el[j]
         assert el[G.inv(i)] == el[i].inverse()
-        assert el[G.conj(i, j)] == el[i].conjugate_by(el[j])
+        assert el[G.conjugates([i], [j])[0, 0]] == el[i].conjugate_by(el[j])
         assert el[G.power(i, k)] == el[i] ** k
         assert G.element(i) == el[i]
     for _ in range(5):
-        g = rng.randrange(G.order)
+        gs = [rng.randrange(G.order) for _ in range(3)]
         xs = rng.sample(range(G.order), min(G.order, 9))
-        assert [el[y] for y in G.conjugates(xs, g)] == [
-            el[x].conjugate_by(el[g]) for x in xs
+        assert [[el[y] for y in row] for row in G.conjugates(xs, gs).tolist()] == [
+            [el[x].conjugate_by(el[g]) for x in xs] for g in gs
         ]
-    assert list(G.conjugates([], 0)) == []
-    # conjugate_mask sets bit i for each conjugate; the orders of sym:5 and
-    # dihedral-262 exceed 64, so bits past a fixed-width int show up too
+    assert G.conjugates([], [0]).shape == (1, 0)
+    assert G.conjugates([0], []).shape == (0, 1)
+    # a kernel row of a subgroup's members is the subgroup's conjugate; the
+    # orders of sym:5 and dihedral-262 exceed 64, so bits past a fixed-width
+    # int show up too
     for _ in range(3):
         S = G.generated_subgroup(rng.sample(range(G.order), 2))
-        g = rng.randrange(G.order)
-        expected = {G.index_of(el[x].conjugate_by(el[g])) for x in S.indices()}
-        assert S.conjugate_mask(g) == G.mask_of(expected)
+        gs = [rng.randrange(G.order) for _ in range(2)]
+        for g, row in zip(gs, G.conjugates(S.indices(), gs).tolist()):
+            expected = {G.index_of(el[x].conjugate_by(el[g])) for x in S.indices()}
+            assert G.mask_of(row) == G.mask_of(expected)
 
 
 # the brute force takes seconds on the order-262 group and on degree 1024
@@ -672,12 +675,15 @@ def test_conjugation_and_commute_kernels_match_perm_arithmetic(name):
     G = KERNEL_GROUPS[name]
     el = G.elements
     rng = random.Random(name)
-    for g in rng.sample(range(G.order), min(G.order, 3)):
-        conj = [G.index_of(x.conjugate_by(el[g])) for x in el]
-        assert list(G.conjugates(np.arange(G.order), g)) == conj
-        xs = [rng.randrange(G.order) for _ in range(20)]
-        assert list(G.conjugates(xs, g)) == [conj[x] for x in xs]
-        assert list(G.conjugates(xs[:1], g)) == [conj[xs[0]]]
+    gs = rng.sample(range(G.order), min(G.order, 3))
+    conj = [[G.index_of(x.conjugate_by(el[g])) for x in el] for g in gs]
+    assert G.conjugates(np.arange(G.order), gs).tolist() == conj
+    xs = [rng.randrange(G.order) for _ in range(20)]
+    assert G.conjugates(xs, gs).tolist() == [[row[x] for x in xs] for row in conj]
+    assert G.conjugates(xs[:1], gs[:1]).tolist() == [[conj[0][xs[0]]]]
+    assert G.conjugates(xs, gs).dtype == np.int32
+    assert G.conjugates([], gs).shape == (len(gs), 0)
+    assert G.conjugates(xs, []).shape == (0, len(xs))
     for z in rng.sample(range(G.order), min(G.order, 5)):
         commuting = [i for i, x in enumerate(el) if x * el[z] == el[z] * x]
         assert G.commute_mask(z) == G.mask_of(commuting)
@@ -686,8 +692,9 @@ def test_conjugation_and_commute_kernels_match_perm_arithmetic(name):
 @pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
 def test_walked_inverses_match_inv(name):
     G = KERNEL_GROUPS[name]
+    el = G.elements
     G.cyclic_masks()  # walks every cyclic subgroup
-    assert list(G._inverses) == [G.inv(i) for i in range(G.order)]
+    assert [el[i] for i in G._inverses] == [x.inverse() for x in el]
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
@@ -704,15 +711,16 @@ def test_index_maps_are_int32_buffers_of_python_ints():
     from centra.constructors import parse_group_spec
 
     G = parse_group_spec("sym:6")  # indices above 256
-    el, j, g = G.elements, 417, 300
+    el, j = G.elements, 417
     col = G.right_mult_column(j)
-    conj = G.conjugates(range(G.order), g)
+    maps = G._conjugation_maps()
     assert G.right_mult_column(j) is col
-    for m in (col, conj):
+    for m in (col, *maps):
         assert m.itemsize == 4 and len(m) == G.order
         assert {type(y) for y in m} == {int}
     assert list(col) == [G.index_of(x * el[j]) for x in el]
-    assert list(conj) == [G.index_of(x.conjugate_by(el[g])) for x in el]
+    for g, m in zip(G.generators, maps):
+        assert list(m) == [G.index_of(x.conjugate_by(g)) for x in el]
 
 
 def _perm_closure(seed, identity):

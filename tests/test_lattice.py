@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -164,9 +165,35 @@ def test_sylow_deterministic_least_bitset():
     G = symmetric(4)
     masks = {sylow_subgroup(G, 2).mask for _ in range(3)}
     assert len(masks) == 1
-    # the returned mask is minimal among all conjugates
+    # the returned mask is minimal among all conjugates, each a kernel row
     S = sylow_subgroup(G, 2)
-    assert all(S.conjugate_mask(g) >= S.mask for g in range(G.order))
+    rows = G.conjugates(S.indices(), range(G.order)).tolist()
+    assert all(G.mask_of(row) >= S.mask for row in rows)
+
+
+def _perm_conjugate_mask(G, S, g):
+    """Bit-set of S^g, conjugating S's members as Perms."""
+    el = G.elements
+    return G.mask_of(G.index_of(el[s].conjugate_by(el[g])) for s in S.indices())
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "dihedral:24", "psl2:7"])
+def test_batched_normalizer_and_sylow_match_perm_conjugation(spec):
+    # every subgroup of the two small groups, a sample of psl2:7's 179
+    G = parse_group_spec(spec)
+    subs = all_subgroups(G)
+    if spec == "psl2:7":
+        subs = random.Random(spec).sample(subs, 12)
+    for S in subs:
+        expected = G.mask_of(
+            g for g in range(G.order) if _perm_conjugate_mask(G, S, g) == S.mask
+        )
+        assert normalizer(G, S).mask == expected
+    for p in (2, 3, 7):
+        if G.order % p == 0:
+            P = sylow_subgroup(G, p)
+            conjugates = {_perm_conjugate_mask(G, P, g) for g in range(G.order)}
+            assert P.mask == min(conjugates)
 
 
 def test_normalizer():

@@ -329,6 +329,12 @@ def test_cli_verify_exit_codes(capsys):
 def test_cli_usage_error_exit_2(capsys):
     assert main(["construct", "nosuch:1"]) == 2
     assert main(["check-x", "cyclic"]) == 2
+    capsys.readouterr()
+    # an xsp spec needs exactly one exponent after the prime
+    for spec in ("xsp:3", "xsp:3,p,q"):
+        assert main(["check-x", spec]) == 2
+        err = capsys.readouterr().err
+        assert "xsp:P,p or xsp:P,p2" in err and "unpack" not in err
 
 
 def test_cli_order_cap_bounds_presentation_specs(tmp_path, monkeypatch, capsys):
