@@ -21,7 +21,8 @@ give different groups; ``realize`` can run both and pick whichever matches
 an expected-order hint.  Where B's relators are A's up to cyclic rotation
 or inversion, the groups are equal and one enumeration serves both.
 
-Enumeration is HLT-style over the trivial subgroup: scan relators, define
+Enumeration is HLT-style over a subgroup H given by words, the trivial
+one by default: scan H's words at coset 0, then scan relators, define
 cosets to fill gaps, process coincidences through a union-find queue.
 With lookahead: once every live row from the current coset up is defined,
 each relator is traced from all those cosets at once with numpy.  If every
@@ -32,25 +33,38 @@ trees and bounded by it before any relator is expanded.
 
 ``CosetTable.live_table`` renumbers the live cosets in ascending order; the
 lookahead and the closure check at the end read it, and the table that
-ends the enumeration is kept for ``group_from_table``.  A closed table is
-the right regular action of G, so the live-coset count n is |G|.
-``group_from_table`` reads off it the action on the right cosets of a few
-cyclic subgroups whose cores meet in {1} (C2000 acts on 16 + 125 points,
-not 2000) and closes it with ``close_generators`` like every other group;
-the closure's order n proves the action faithful.  The regular action is
-kept only where no such subgroups exist, as in C_p or Q16.
+ends the enumeration is kept as ``closed``.  A closed table is G's action
+on the right cosets of H, so the live-coset count n is |G:H|.
+
+``realize`` proves |G| by a sandwich before it tries the regular table.
+For a generator x with a pure-power relator x^k, the cosets of
+H = <x^e> (e = 1 or a prime power dividing k exactly) bound |G| above by
+n k/e; the coset actions, and unions of them, are quotients of G, so the
+order of their closure bounds |G| below.  Where the bounds meet, that
+union is a faithful action, often far smaller than the regular one
+(c31-c15 acts on the 31 cosets of <b>, and C2000 on 16 + 125 points).
+Otherwise the fallback enumerates over the trivial subgroup, whose table
+is the right regular action, with n = |G|; ``group_from_table`` reads off
+it the action on the right cosets of a few cyclic subgroups whose cores
+meet in {1}, or keeps the regular action where no such subgroups exist,
+as in C_p or Q16.  Either way ``close_generators`` makes the group, and
+its order proves the action faithful.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+from math import gcd, inf
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     BudgetError,
     EnumerationInconclusiveError,
+    GroupTooLargeError,
     InvariantError,
     PresentationSyntaxError,
 )
@@ -367,14 +381,15 @@ class _WordParser:
 
 
 class CosetTable:
-    """HLT working state over the trivial subgroup.
+    """HLT working state over a subgroup H.
 
     The table is stored by column: ``cols[c][k]`` is the coset that column c
     sends coset k to, or -1 where that entry is undefined.  Column 2i is
-    generator i, column 2i+1 its inverse.  Coset 0 is the coset of the
-    trivial subgroup.  ``p`` is the union-find parent list; coset k is live
-    iff ``p[k] == k``.  Columns only ever grow in place, so a relator
-    compiled to column lists (``compile``) stays valid for the whole run.
+    generator i, column 2i+1 its inverse.  Coset 0 is H itself (the trivial
+    subgroup unless ``todd_coxeter`` is given words).  ``p`` is the
+    union-find parent list; coset k is live iff ``p[k] == k``.  Columns
+    only ever grow in place, so a relator compiled to column lists
+    (``compile``) stays valid for the whole run.
     ``closed`` is the ``live_table`` that ``todd_coxeter`` checked at the
     end of its enumeration, None until then.
     """
@@ -504,13 +519,19 @@ class CosetTable:
         return live, table
 
 
-def todd_coxeter(pres: Presentation, convention: str) -> CosetTable:
-    """HLT enumeration over the trivial subgroup, with lookahead.
+def todd_coxeter(pres: Presentation, convention: str,
+                 subgroup: Sequence[list[int]] = ()) -> CosetTable:
+    """HLT enumeration of the right cosets of the subgroup H generated by
+    the ``subgroup`` words (signed generator numbers, as in ``relators``),
+    with lookahead; no words, the default, enumerate over H = {1}.
 
-    Each live coset alpha in turn is scanned with every relator, then its
-    row is filled by definitions.  A gap pointer, which only moves forward,
-    finds the first live coset from alpha up with an undefined entry, so
-    the test costs O(cosets x columns) over the whole run.  When there is
+    Each subgroup word is first scanned from coset 0, the coset H itself,
+    which makes it close there for the rest of the run (coincidences only
+    merge cosets).  Then each live coset alpha in turn is scanned with
+    every relator, then its row is filled by definitions.  A gap pointer,
+    which only moves forward, finds the first live coset from alpha up
+    with an undefined entry, so the test costs O(cosets x columns) over
+    the whole run.  When there is
     none, every live row is complete (rows below alpha were filled in their
     turn), and each relator is traced from all live cosets from alpha up at
     once, with numpy gathers over the columns.  If every (relator, coset)
@@ -524,13 +545,16 @@ def todd_coxeter(pres: Presentation, convention: str) -> CosetTable:
     ``MAX_COSETS`` letters in all.  Returns a closed table, its renumbered
     live table kept as ``closed``: the lookahead that ended the run made
     it, or else a closing ``live_table`` call, which raises InvariantError
-    unless the table is closed.  Raises EnumerationInconclusiveError at
+    unless the table is closed, and InvariantError unless every subgroup
+    word closes at coset 0 of it.  Raises EnumerationInconclusiveError at
     ``MAX_COSETS`` cosets (not a proof of infinitude); total collapse to
-    one coset is a valid result describing the trivial group.
+    one coset is a valid result: H = G, the trivial group if H = {1}.
     """
     pres.check_length(MAX_COSETS)
     ct = CosetTable(pres.num_generators)
     relators = [ct.compile(word) for word in pres.relators(convention)]
+    for word in subgroup:
+        ct.scan_and_fill(0, ct.compile(word))
     p, cols = ct.p, ct.cols
     traced = 0  # cosets defined at the last lookahead
     gap = 0
@@ -556,6 +580,13 @@ def todd_coxeter(pres: Presentation, convention: str) -> CosetTable:
         alpha += 1
     else:  # no lookahead ended the run: check the table here
         ct.closed = ct.live_table()[1]
+    for word in subgroup:
+        k = 0
+        for g in word:
+            k = ct.closed[ct.column(g), k]
+        if k:
+            raise InvariantError("a subgroup word does not close at coset 0 "
+                                 "of the closed table")
     return ct
 
 
@@ -596,8 +627,8 @@ class RealizedPresentation:
 
 def group_from_table(ct: CosetTable,
                      order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """The group presented by a table closed by ``todd_coxeter``, acting on
-    a small faithful union of coset spaces.
+    """The group presented by a table that ``todd_coxeter`` closed over the
+    trivial subgroup, acting on a small faithful union of coset spaces.
 
     ``ct.closed``, the live table that ``todd_coxeter`` checked, is the right
     regular action: live coset k is the element g_k with 0 . g_k = k, and
@@ -706,26 +737,167 @@ def _power(perm: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
+def _power_exponents(relators: list[list[int]], num_generators: int) -> list[int]:
+    """Per generator x, the gcd k of the lengths of the relators x^k and
+    x^-k (pure powers of x), so that x^k = 1 in G; 0 where there is none."""
+    ks = [0] * num_generators
+    for word in relators:
+        if len(set(word)) == 1:
+            i = abs(word[0]) - 1
+            ks[i] = gcd(ks[i], len(word))
+    return ks
+
+
+def _action_order(ct: CosetTable, i: int, e: int) -> int:
+    """The order Q of G's action on the n cosets of H = <x_i^e> that ``ct``
+    tables.  Its kernel, the core of H, lies in H, so |G| / Q = |H| / d for
+    d the order of x_i^e on the cosets, and Q = n d."""
+    d = Perm(ct.closed[2 * i].tolist()).order()  # of x_i on the cosets
+    return ct.closed.shape[1] * (d // gcd(d, e))
+
+
+def _sandwich(pres: Presentation, convention: str,
+              order_cap: int) -> FiniteGroup | None:
+    """G on a union of its actions on the cosets of cyclic subgroups, with
+    |G| proved by a sandwich; None where no proof is found.
+
+    A generator x with x^k = 1 (``_power_exponents``) gives the candidates
+    H = <x^e> for e = 1 and each prime power e || k other than k itself,
+    and |H| <= k/e since the order of x divides k.  A closed enumeration of
+    the n cosets of H gives |G| = n |H| <= n k/e; B is the least of these
+    bounds.  Each coset action is a quotient of G, and so is a union of
+    them, so its order Q is at most |G|.  Once some Q = B, |G| = Q is
+    proved and that action is faithful: it is G.  A generator with no
+    pure-power relator still gives the action on the cosets of <x>, which
+    bounds nothing but may join a union (ex_order12's <a>, with 3 cosets).
+
+    One action needs no closure to know Q (``_action_order``); a union's Q
+    is the order of its closure.  Where a single action has n = B points,
+    H = 1 and its table is the regular one, which ``group_from_table``
+    realizes on a smaller union read off it.
+
+    Every <x> is enumerated first (none where x alone generates G), by
+    decreasing bound k on |H| (so by the least index each allows), those
+    with no bound last, and each is tried alone.  Then a union adds them
+    by increasing index while each raises Q.  The prime powers follow one
+    at a time by decreasing k/e, each tried alone and then added to the
+    union, until Q = B.  No union of B or more points is closed, and each
+    closure is capped at min(order_cap, B).  An inconclusive enumeration,
+    or a closure over the order cap or the element-storage budget, ends
+    the search.
+    """
+    ks = _power_exponents(pres.relators(convention), pres.num_generators)
+    if all(k < 2 for k in ks):
+        return None
+    # (bound on |H|, 0 if none; generator; e) for each candidate H = <x^e>
+    firsts = sorted(((k, i, 1) for i, k in enumerate(ks)
+                     if k != 1 and pres.num_generators > 1),
+                    key=lambda c: (c[0] == 0, -c[0]))
+    powers = sorted(((k // p**v, i, p**v) for i, k in enumerate(ks) if k > 1
+                     for p, v in factorize(k) if p**v < k), key=lambda c: -c[0])
+    bound = inf
+    singles: list[tuple[int, CosetTable]] = []  # (Q, table) per subgroup
+    union: list[np.ndarray] = []  # the union's actions, as image rows
+    joined = 1  # the union's Q
+    union_group: FiniteGroup | None = None  # its closure, once it has two
+
+    def enumerate_cosets(m: int, i: int, e: int) -> tuple[int, CosetTable]:
+        """The order of the action on the cosets of <x_i^e>, and its table."""
+        nonlocal bound
+        ct = todd_coxeter(pres, convention, [[i + 1] * e])
+        n = ct.closed.shape[1]
+        if m:
+            bound = min(bound, n * m)
+        singles.append((_action_order(ct, i, e), ct))
+        return singles[-1]
+
+    def close(actions: list[np.ndarray]) -> FiniteGroup:
+        offsets = np.cumsum([0] + [a.shape[1] for a in actions[:-1]])
+        rows = np.concatenate([a + o for a, o in zip(actions, offsets)], axis=1)
+        return close_generators([Perm(r) for r in rows.tolist()],
+                                min(order_cap, bound))
+
+    def extend(order: int, ct: CosetTable) -> None:
+        """Add the action to the union if that raises the union's Q."""
+        nonlocal joined, union_group
+        action = ct.closed[1::2]  # x acts as x^-1 does on the right cosets
+        if order == 1 or sum(a.shape[1] for a in union) + action.shape[1] >= bound:
+            return
+        H = close(union + [action]) if union else None
+        if H is not None:
+            order = H.order
+        if order > joined:
+            union.append(action)
+            joined, union_group = order, H
+
+    def by_index(single: tuple[int, CosetTable]) -> int:
+        return single[1].closed.shape[1]
+
+    def proved() -> FiniteGroup | None:
+        """G, if a single action (the fewest points first) or the union
+        has order B."""
+        for order, ct in sorted(singles, key=by_index):
+            if order == bound:
+                if ct.closed.shape[1] == bound:
+                    return group_from_table(ct, order_cap)
+                G = close([ct.closed[1::2]])
+                if G.order != bound:
+                    raise InvariantError(f"a coset action has order {G.order}, "
+                                         f"not {bound}")
+                return G
+        if union_group is not None and union_group.order == bound:
+            return union_group
+        return None
+
+    try:
+        for c in firsts:
+            enumerate_cosets(*c)
+            if (G := proved()) is not None:
+                return G
+        for single in chain(sorted(singles, key=by_index),
+                            (enumerate_cosets(*c) for c in powers)):
+            extend(*single)
+            if (G := proved()) is not None:
+                return G
+    except (EnumerationInconclusiveError, GroupTooLargeError, BudgetError):
+        pass
+    return None
+
+
 def realize(
     pres: Presentation,
     convention: str = "auto",
     order_hint: int | None = None,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> RealizedPresentation:
-    """Realize a presentation as a permutation group: the table's action on
-    a small faithful union of coset spaces (``group_from_table``).
+    """Realize a presentation as a permutation group on a small faithful
+    union of coset spaces.
 
-    Convention "A" or "B" enumerates that one alone.  With convention
-    "auto", both commutator conventions are enumerated and the one matching
+    Each convention first tries ``_sandwich``, which proves |G| between
+    two bounds.  A relator x^k makes the order of x divide k, so
+    H = <x^e> has at most k/e elements, and an enumeration of H's cosets
+    that closes with n of them gives |G| = n |H| <= n k/e; B is the least
+    such bound.  The action on H's cosets is a quotient of G, and so is a
+    union of such actions, so the order Q of its closure is at most |G|.
+    If Q = B, then |G| = Q and the union is a faithful action: it is G.
+    This trusts a closed enumeration's count of cosets as the regular
+    path trusts its live-coset count for |G|.  Where no union meets its
+    bound, the fallback enumerates over the trivial subgroup
+    (``todd_coxeter``), whose live-coset count is |G|, and
+    ``group_from_table`` makes the group of the chosen convention from
+    that table.
+
+    Convention "A" or "B" realizes that one alone.  With convention "auto",
+    both commutator conventions are realized and the one matching
     ``order_hint`` wins (ties go to A); without a hint the larger resulting
     order wins, treating collapse as the sign of a wrong convention.  When
     each of B's relators is the matching one of A's up to cyclic rotation or
     inversion (no bracket changes them, or only as [a,b] = 1 does), the two
-    normal closures are equal, so A's table stands for B as well and the
-    presentation is enumerated once.  Raises BudgetError before expanding
-    any relator if they hold more than ``MAX_COSETS`` letters in all, and
+    normal closures are equal, so A's result stands for B as well and the
+    presentation is realized once.  Raises BudgetError before expanding any
+    relator if they hold more than ``MAX_COSETS`` letters in all, and
     EnumerationInconclusiveError if every attempted convention reaches
-    ``MAX_COSETS`` cosets.
+    ``MAX_COSETS`` cosets in the fallback.
     """
     if convention == "auto":
         conventions = CONVENTIONS
@@ -735,24 +907,28 @@ def realize(
         raise ValueError(f"convention must be A, B, or auto, not {convention!r}")
 
     pres.check_length(MAX_COSETS)
-    tables: dict[str, CosetTable | None] = {}
+    # per convention: the proved group, a closed regular table, or None
+    results: dict[str, FiniteGroup | CosetTable | None] = {}
     orders: dict[str, int | None] = {}
     defined = 0  # the most cosets an inconclusive enumeration defined
     rel_a, rel_b = pres.relators("A"), pres.relators("B")
     same = len(rel_a) == len(rel_b) and all(map(_same_closure, rel_a, rel_b))
     for conv in conventions:
         if same and conv != conventions[0]:
-            tables[conv], orders[conv] = tables["A"], orders["A"]
+            results[conv], orders[conv] = results["A"], orders["A"]
             continue
-        try:
-            ct = todd_coxeter(pres, conv)
-            tables[conv] = ct
-            orders[conv] = ct.closed.shape[1]  # the live cosets
-        except EnumerationInconclusiveError as exc:
-            tables[conv] = None
-            orders[conv] = None
-            defined = max(defined, exc.defined)
-    if all(ct is None for ct in tables.values()):
+        result = _sandwich(pres, conv, order_cap)
+        if result is not None:
+            orders[conv] = result.order
+        else:
+            try:
+                result = todd_coxeter(pres, conv)
+                orders[conv] = result.closed.shape[1]  # the live cosets
+            except EnumerationInconclusiveError as exc:
+                orders[conv] = None
+                defined = max(defined, exc.defined)
+        results[conv] = result
+    if all(result is None for result in results.values()):
         raise EnumerationInconclusiveError(MAX_COSETS, defined)
 
     chosen: str | None = None
@@ -763,8 +939,11 @@ def realize(
     if chosen is None:
         conclusive = [c for c in conventions if orders[c] is not None]
         chosen = max(conclusive, key=lambda c: (orders[c], c == "A"))
+    group = results[chosen]
+    if isinstance(group, CosetTable):
+        group = group_from_table(group, order_cap)
     return RealizedPresentation(
-        group=group_from_table(tables[chosen], order_cap),
+        group=group,
         convention=chosen,
         orders=orders,
         hint=order_hint,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from test_cli_fuzz import relations
 
 from centra import presentations
@@ -323,25 +323,31 @@ def test_enumeration_work_counts(name, conv, defined, live):
 
 
 def _counting_todd_coxeter(monkeypatch):
+    """Record each enumeration: (convention,) over the trivial subgroup,
+    (convention, (i, e)) over <x_i^e>, x_1 the first generator."""
     calls = []
     real = presentations.todd_coxeter
 
-    def counted(pres, convention, *args, **kwargs):
-        calls.append(convention)
-        return real(pres, convention, *args, **kwargs)
+    def counted(pres, convention, subgroup=()):
+        calls.append((convention, *((w[0], len(w)) for w in subgroup)))
+        return real(pres, convention, subgroup)
 
     monkeypatch.setattr(presentations, "todd_coxeter", counted)
     return calls
 
 
-@pytest.mark.parametrize("text,n", [
-    ("gens: a\na^40 = 1\n", 40),
-    ("gens: a b\na^9 = 1\nb^2 = 1\n(ab)^2 = 1\n", 18),
+@pytest.mark.parametrize("text,n,enumerated", [
+    # C40: <a> = G is not tried, then <a^5> (|H| <= 8) and <a^8> (|H| <= 5)
+    ("gens: a\na^40 = 1\n", 40, [("A", (1, 5)), ("A", (1, 8))]),
+    # D18: <b> alone is faithful on 9 points
+    ("gens: a b\na^9 = 1\nb^2 = 1\n(ab)^2 = 1\n", 18,
+     [("A", (1, 1)), ("A", (2, 1))]),
 ], ids=["cyclic-40", "dihedral-18"])
-def test_realize_auto_enumerates_once_without_brackets(monkeypatch, text, n):
+def test_realize_auto_enumerates_once_without_brackets(monkeypatch, text, n,
+                                                       enumerated):
     calls = _counting_todd_coxeter(monkeypatch)
     r = realize(parse_presentation(text), "auto", n)
-    assert calls == ["A"]
+    assert calls == enumerated
     assert r.orders == {"A": n, "B": n}
     assert (r.convention, r.order) == ("A", n)
 
@@ -351,7 +357,7 @@ def test_realize_auto_enumerates_once_for_rotated_relators(monkeypatch):
     calls = _counting_todd_coxeter(monkeypatch)
     text = GENERATED_PRESENTATIONS["abelian-12x36"]
     r = realize(parse_presentation(text), "auto", 432)
-    assert calls == ["A"]
+    assert calls == [("A", (2, 1)), ("A", (1, 1))]
     assert r.orders == {"A": 432, "B": 432}
     assert (r.convention, r.order) == ("A", 432)
 
@@ -367,19 +373,23 @@ def test_same_closure_up_to_rotation_and_inversion():
 
 
 def test_realize_auto_enumerates_both_conventions_with_brackets(monkeypatch):
+    # b and c (b^7 = c^7 = 1) before a (a^3 = 1); A's <a> has index 1 and
+    # proves |G| <= 3, which the 3 cosets of <b> meet
     calls = _counting_todd_coxeter(monkeypatch)
     r = realize(parse_presentation(_data_text("ex_order147.pres")), "auto", 147)
-    assert calls == ["A", "B"]
+    assert calls == [(conv, (g, 1)) for conv in "AB" for g in (2, 3, 1)]
     assert r.orders == {"A": 3, "B": 147}
     assert (r.convention, r.order) == ("B", 147)
 
 
 def test_realize_auto_shares_an_inconclusive_enumeration(monkeypatch):
+    # the first inconclusive candidate ends the sandwich: one extra
+    # enumeration before the regular one
     calls = _counting_todd_coxeter(monkeypatch)
     monkeypatch.setattr(presentations, "MAX_COSETS", 300)
     with pytest.raises(EnumerationInconclusiveError):
         realize(parse_presentation("gens: a b\na^2 = 1\n"), "auto")
-    assert calls == ["A"]
+    assert calls == [("A", (1, 1)), ("A",)]
 
 
 def test_table_rows_mark_undefined_entries_with_none():
@@ -513,18 +523,23 @@ def test_bench_presentation_degrees(name):
     assert (G.order, G.degree) == (order, degree)
 
 
-def _same_verdicts_as_regular(ct):
-    """The realized group has the live-coset count as its order and the
-    class-X and class-C verdicts of the regular action on the same table,
-    and every witness re-verifies."""
-    G = group_from_table(ct)
-    R = close_generators([Perm(c) for c in ct.closed[1::2].tolist()])
-    assert G.order == R.order == ct.live_count()
+def _same_verdicts(G, R):
+    """G and R have the same order and the same class-X and class-C
+    verdicts, and every witness re-verifies."""
+    assert G.order == R.order
     for cls, decide in (("X", in_class_X), ("C", in_class_C)):
         verdicts = [decide(H) for H in (G, R)]
         assert verdicts[0].member == verdicts[1].member
         for H, verdict in zip((G, R), verdicts):
             assert verdict.member or verify_witness(H, verdict, cls)
+
+
+def _same_verdicts_as_regular(ct):
+    """The group from the table has the live-coset count as its order and
+    the verdicts of the regular action on the same table."""
+    R = close_generators([Perm(c) for c in ct.closed[1::2].tolist()])
+    assert R.order == ct.live_count()
+    _same_verdicts(group_from_table(ct), R)
 
 
 @pytest.mark.parametrize("conv", ["A", "B"])
@@ -551,3 +566,208 @@ def test_coset_action_on_random_finite_presentations(lines, m, n, conv):
     except (PresentationSyntaxError, BudgetError):
         return
     _same_verdicts_as_regular(ct)
+
+
+# -- enumeration over cyclic subgroups, and the sandwich ---------------------------
+
+
+@pytest.mark.parametrize("text,ks", [
+    ("gens: a\na^-6 = 1\n", [6]),
+    ("gens: a\na^6 = 1\na^4 = 1\n", [2]),
+    ("gens: a\na^6 = a^2\n", [4]),
+    # a^2 = b is no pure power, so a gets no exponent (and no bound)
+    ("gens: a b\na^2 = b\nb^2 = 1\n", [0, 2]),
+    ("gens: a b\n(ab)^3 = 1\n[a,b] = 1\n", [0, 0]),
+], ids=["inverse-power", "gcd", "cancelled", "non-pure", "no-pure-power"])
+def test_power_exponents(text, ks):
+    pres = parse_presentation(text)
+    assert presentations._power_exponents(pres.relators("A"), pres.num_generators) == ks
+
+
+@pytest.mark.parametrize("name,word,index", [
+    ("c31-c15", [2], 31), ("c31-c15", [1], 15), ("c31-c15", [2, 2, 2], 93),
+    ("cyclic-2000", [1] * 16, 16), ("dihedral-486", [], 486),
+], ids=["c31-c15-b", "c31-c15-a", "c31-c15-b3", "cyclic-2000-a16",
+        "dihedral-486-trivial"])
+def test_todd_coxeter_over_a_cyclic_subgroup(name, word, index):
+    # the index of <w>; coset 0 is <w> itself, so w fixes it (the empty
+    # word generates the trivial subgroup)
+    ct = todd_coxeter(parse_presentation(_text(name)), "A", [word])
+    assert ct.closed.shape[1] == ct.live_count() == index
+    k = 0
+    for g in word:
+        k = ct.closed[CosetTable.column(g), k]
+    assert k == 0
+
+
+@pytest.mark.parametrize("name,conv,i,e,order", [
+    ("c31-c15", "A", 1, 1, 465), ("c31-c15", "A", 1, 3, 465),
+    ("c31-c15", "A", 0, 1, 15), ("cyclic-2000", "A", 0, 16, 16),
+    ("heisenberg-7", "B", 2, 1, 49), ("heisenberg-7", "B", 0, 1, 343),
+    ("ex_order12.pres", "B", 0, 1, 6), ("quaternion-256", "A", 1, 1, 128),
+])
+def test_action_order_without_closure(name, conv, i, e, order):
+    # n times the order of x^e on the cosets of <x^e> is the order of the
+    # action, which the closure confirms
+    ct = todd_coxeter(parse_presentation(_text(name)), conv, [[i + 1] * e])
+    G = close_generators([Perm(row) for row in ct.closed[1::2].tolist()])
+    assert presentations._action_order(ct, i, e) == G.order == order
+
+
+def test_subgroup_word_that_does_not_close_is_refused(monkeypatch):
+    # a table forged by skipping the scan of the subgroup word at coset 0
+    # is the regular action of C12, in which a^3 moves coset 0
+    real = CosetTable.scan_and_fill
+    scans = []
+
+    def skip_first(self, alpha, rel):
+        scans.append(alpha)
+        if len(scans) > 1:
+            real(self, alpha, rel)
+
+    monkeypatch.setattr(CosetTable, "scan_and_fill", skip_first)
+    with pytest.raises(InvariantError, match="subgroup word"):
+        todd_coxeter(parse_presentation("gens: a\na^12 = 1\n"), "A", [[1, 1, 1]])
+
+
+SANDWICH_PROVED = ["c31-c15", "heisenberg-7", "cyclic-2000", "dihedral-486",
+                   "abelian-12x36"]
+
+
+@pytest.mark.parametrize("conv", ["A", "B"])
+@pytest.mark.parametrize("name", SANDWICH_PROVED)
+def test_sandwich_proves_without_a_regular_table(name, conv, monkeypatch):
+    calls = _counting_todd_coxeter(monkeypatch)
+    order, degree = BENCH_DEGREES[name]
+    r = realize(parse_presentation(_text(name)), conv)
+    assert (r.order, r.group.degree) == (order, degree)
+    assert calls and all(len(call) == 2 for call in calls)
+
+
+@pytest.mark.parametrize("name,tried", [
+    ("cyclic-401", []), ("quaternion-256", [("A", (1, 1)), ("A", (2, 1))]),
+], ids=["cyclic-401", "quaternion-256"])
+def test_fallback_keeps_the_regular_action(name, tried, monkeypatch):
+    # C401 has no candidate (<a> = G, and a^401 = 1 is <a^401> = 1), and
+    # every non-trivial subgroup of Q256 holds its central involution, so no
+    # union of coset actions is faithful
+    calls = _counting_todd_coxeter(monkeypatch)
+    order, _ = BENCH_DEGREES[name]
+    G = realize(parse_presentation(_text(name)), "A").group
+    assert G.order == G.degree == order
+    assert calls == tried + [("A",)]
+
+
+def test_order147_collapses_under_a():
+    # A's [b,a] = b and [c,a] = c kill b and c, leaving <a> of order 3
+    r = realize(parse_presentation(_data_text("ex_order147.pres")), "A")
+    assert (r.order, r.orders) == (3, {"A": 3})
+
+
+def test_an_index_that_meets_the_bound_is_the_regular_table(monkeypatch):
+    # b^6 = 1 and <b> = G give |G| <= 6; <a> then has 6 cosets, so a = 1 and
+    # its table is the regular one, which group_from_table realizes on the
+    # 2 + 3 cosets of <b^2> and <b^3>, without another enumeration
+    calls = _counting_todd_coxeter(monkeypatch)
+    r = realize(parse_presentation("gens: a b\na^2 = 1\nb^6 = 1\na = b^6\n"), "A")
+    assert calls == [("A", (2, 1)), ("A", (1, 1))]
+    assert (r.order, r.group.degree) == (6, 5)
+
+
+def test_a_union_skips_an_action_that_adds_nothing():
+    # C2 x C5 with c^2 = b: <b> = <c>, so the 2 cosets of <c> add nothing to
+    # the 2 of <b>, and the 5 cosets of <a> then make the union faithful
+    text = ("gens: a b c\na^2 = 1\nb^5 = 1\nc^5 = 1\n"
+            "[a,b] = 1\n[a,c] = 1\n[b,c] = 1\nc^2 = b\n")
+    G = realize(parse_presentation(text), "A").group
+    assert (G.order, G.degree) == (10, 7)
+
+
+def test_no_union_of_bound_points_is_closed(monkeypatch):
+    # C2 x C2: the 2 + 2 cosets of <a> and <b> would be a union of B = 4
+    # points, no smaller than the regular action, so realize falls back
+    calls = _counting_todd_coxeter(monkeypatch)
+    G = realize(parse_presentation("gens: a b\na^2 = 1\nb^2 = 1\n[a,b] = 1\n"),
+                "A").group
+    assert calls == [("A", (1, 1)), ("A", (2, 1)), ("A",)]
+    assert (G.order, G.degree) == (4, 4)
+
+
+def test_a_closure_over_the_order_cap_raises_as_before():
+    # C12 on the 3 + 4 cosets of <a^3> and <a^4> is over a cap of 10: the
+    # fallback's closure raises as the regular path always did
+    with pytest.raises(GroupTooLargeError) as err:
+        realize(parse_presentation("gens: a\na^12 = 1\n"), "A", order_cap=10)
+    assert (err.value.cap, err.value.partial_count) == (10, 12)
+
+
+def test_cyclic_8193_builds_no_regular_table(monkeypatch):
+    calls = _counting_todd_coxeter(monkeypatch)
+    G = realize(parse_presentation("gens: a\na^8193 = 1\n"), "A").group
+    assert (G.order, G.degree) == (8193, 2734)
+    assert calls == [("A", (1, 3)), ("A", (1, 2731))]
+
+
+# cosets defined by all the enumerations of realize(pres, conv), against the
+# regular enumeration's alone.  None is more except where the sandwich
+# falls back (Q256) or the group is tiny, so that the regular table costs
+# fewer cosets than the subgroups tried before the proof: ex_order147
+# under A (order 3), ex_order18 under B (order 2) and ex_order12 under B,
+# where <b> is enumerated (12 cosets defined) though <a> and <c> alone
+# prove |G| = 12
+REALIZE_COSETS = {
+    "ex_order18.pres": (39, 38), "ex_order147.pres": (148, 413),
+    "ex_order24.pres": (28, 35), "ex_order12.pres": (14, 27),
+    "ex_order75.pres": (136, 65), "cyclic-401": (401, 401),
+    "abelian-12x36": (48, 772), "dihedral-486": (245, 245),
+    "quaternion-256": (417, 417), "c31-c15": (774, 774),
+    "heisenberg-7": (115, 491), "cyclic-2000": (141, 141),
+}
+MORE_THAN_REGULAR = {("ex_order147.pres", "A"), ("ex_order18.pres", "B"),
+                     ("ex_order12.pres", "B"), ("quaternion-256", "A"),
+                     ("quaternion-256", "B")}
+
+
+@pytest.mark.parametrize("name", sorted(REALIZE_COSETS))
+def test_realize_cosets_defined_are_pinned(name, monkeypatch):
+    # and no realized degree exceeds the regular path's.  Of the actions
+    # that prove |G| at once, the one with the fewest points is kept: in
+    # ex_order24 under A (order 8), <g1> brings B down to 8, which both its
+    # 4 cosets and the 8 of <g4> (tried before) then meet
+    pres = parse_presentation(_text(name))
+    tables = [todd_coxeter(pres, conv) for conv in "AB"]
+    defined = []
+    real = presentations.todd_coxeter
+
+    def counted(pres, convention, subgroup=()):
+        ct = real(pres, convention, subgroup)
+        defined[-1] += len(ct.p)
+        return ct
+
+    monkeypatch.setattr(presentations, "todd_coxeter", counted)
+    for conv, ct in zip("AB", tables):
+        defined.append(0)
+        G = realize(pres, conv).group
+        assert (defined[-1] <= len(ct.p)) == ((name, conv) not in MORE_THAN_REGULAR)
+        assert G.degree <= group_from_table(ct).degree
+    assert tuple(defined) == REALIZE_COSETS[name]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(lines=st.lists(relations, max_size=3), m=st.integers(1, 12),
+       n=st.integers(1, 12), conv=st.sampled_from(["A", "B"]))
+def test_realize_matches_regular_enumeration_on_random_finite_presentations(
+        lines, m, n, conv):
+    # the presentations of test_coset_action_on_random_finite_presentations;
+    # malformed or over-long ones are not counted as examples, so that 100
+    # presentations are realized (about half of them by the sandwich)
+    text = "\n".join(["gens: a b", f"a^{m} = 1", f"b^{n} = 1", "[a,b] = 1", *lines])
+    try:
+        parse_presentation(text).check_length(presentations.MAX_COSETS)
+    except (PresentationSyntaxError, BudgetError):
+        assume(False)
+    pres = parse_presentation(text)
+    ct = todd_coxeter(pres, conv)
+    G = realize(pres, conv).group
+    assert G.order == ct.live_count()
+    _same_verdicts(G, group_from_table(ct))
