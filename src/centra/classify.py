@@ -276,7 +276,7 @@ def _relations(G: FiniteGroup, a: int, reps: list[tuple[int, int]],
             else:
                 by_prime.setdefault(q, []).append(i)
     for q, t in by_prime.items():
-        k, points = len(base), np.concatenate([base, E[a, base]])
+        k, points = len(base), np.concatenate([base, E[a, base]], dtype=np.intp)
         power = E[B[t], points]
         for _ in range(q - 1):
             power = E[B[t], power]

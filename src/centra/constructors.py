@@ -395,7 +395,9 @@ def automorphism_from_generator_images(
     if len(images) != len(G.generators):
         raise InvalidActionError("one image per generator is required")
     graph = _graph(G, [G.element(int(v)) for v in images])
-    out = G._find(graph.matrix[:, G.base + G.degree] - G.degree).tolist()
+    # phi(h)'s base images, moved back from the graph's second half
+    on_base = graph.matrix[:, G.base + G.degree].astype(np.intp) - G.degree
+    out = G._find(on_base).tolist()
     if len(set(out)) != G.order:
         raise InvalidActionError("generator images are not an automorphism")
     return Perm._unchecked(tuple(out))
@@ -532,28 +534,30 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
     """
     head, arg = _split_spec(spec)
     if head == "cyclic":
-        return cyclic(int(arg), order_cap)
+        return cyclic(_spec_int(spec, arg, "cyclic:N"), order_cap)
     if head == "abelian":
-        return abelian([int(v) for v in arg.split(",")], order_cap)
+        factors = [_spec_int(spec, v, "abelian:D1,D2,...") for v in arg.split(",")]
+        return abelian(factors, order_cap)
     if head == "dihedral":
-        return dihedral(int(arg), order_cap)
+        return dihedral(_spec_int(spec, arg, "dihedral:2N"), order_cap)
     if head == "sd":
-        return semidihedral(int(arg), order_cap)
+        return semidihedral(_spec_int(spec, arg, "sd:2^n"), order_cap)
     if head == "q":
-        return generalized_quaternion(int(arg), order_cap)
+        return generalized_quaternion(_spec_int(spec, arg, "q:2^n"), order_cap)
     if head == "xsp":
         pt, comma, expo = arg.partition(",")
+        form = "xsp:P,p or xsp:P,p2"
         if not comma or "," in expo:
-            raise ValueError(f"bad group spec {spec!r}: expected xsp:P,p or xsp:P,p2")
-        return extraspecial_p3(int(pt), expo.strip(), order_cap)
+            raise ValueError(f"bad group spec {spec!r}: expected {form}")
+        return extraspecial_p3(_spec_int(spec, pt, form), expo.strip(), order_cap)
     if head == "sym":
-        return symmetric(int(arg), order_cap)
+        return symmetric(_spec_int(spec, arg, "sym:N"), order_cap)
     if head == "alt":
-        return alternating(int(arg), order_cap)
+        return alternating(_spec_int(spec, arg, "alt:N"), order_cap)
     if head == "psl2":
-        return psl2(int(arg), order_cap)
+        return psl2(_spec_int(spec, arg, "psl2:Q"), order_cap)
     if head == "psl3":
-        return psl3(int(arg), order_cap)
+        return psl3(_spec_int(spec, arg, "psl3:P"), order_cap)
     if head == "dp":
         # dp:A;dp:B;C is A x (B x C): the right-nested chain is read in a
         # loop, not by recursion, its partial order and degree are checked
@@ -587,7 +591,7 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
             elif suffix == "auto" or suffix.startswith("auto:"):
                 _, _, h = suffix.partition(":")
                 if h:
-                    hint = int(h)
+                    hint = _spec_int(spec, h, "presentation:@file.pres#auto:HINT")
             else:
                 raise ValueError(f"bad presentation suffix {suffix!r}")
         realized = realize(
@@ -595,6 +599,15 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
         )
         return realized.group
     raise ValueError(f"unknown group spec {spec!r}")
+
+
+def _spec_int(spec: str, text: str, form: str) -> int:
+    """``text``, a part of ``spec``, as an integer; else ValueError naming
+    the spec and its expected ``form``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad group spec {spec!r}: expected {form}") from None
 
 
 def _split_spec(spec: str) -> tuple[str, str]:

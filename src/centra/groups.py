@@ -1,10 +1,16 @@
 """Enumerated finite permutation groups and subgroup handles.
 
-A FiniteGroup holds its elements as one C-contiguous int32 matrix
-``matrix``: row i is the image tuple of element i.  Rows are sorted
-lexicographically, so two constructions of the same group index elements
-identically (the identity is index 0) and subgroups can be stored as
-bit-sets over those indices.
+A FiniteGroup holds its elements as one C-contiguous matrix ``matrix``:
+row i is the image tuple of element i.  Rows are sorted lexicographically,
+so two constructions of the same group index elements identically (the
+identity is index 0) and subgroups can be stored as bit-sets over those
+indices.  Each image takes the narrowest cell that holds every point
+(``_cell``): uint8 up to degree 256, uint16 up to 65 536, else int32.  The
+stabilizer chain makes every row in that cell, so no wider copy of the
+matrix exists, and arithmetic on cell values (flat offsets, shifted points)
+runs in intp, since a narrow cell plus a Python int wraps silently.  What
+does not hold points stays wide: index maps, inverses and the lookup table
+are int32, keys int64.
 
 ``close_generators`` learns |G| before it makes any row of G.  A
 deterministic Schreier-Sims algorithm (Sims 1970; Holt, Eick and O'Brien,
@@ -82,17 +88,20 @@ from .errors import (
 from .perms import Perm
 
 DEFAULT_ORDER_CAP = 200_000
-# bytes an element matrix (elements x degree x 4) may take.  The largest
-# matrix that the corpus, the bundled manifest and the benchmark build is
-# psl2:31's in the benchmark, 1.9 MB; the manifest's semidirect product of
-# order 1029 acts on 346 points, 1.4 MB.  256 MiB leaves over 100 times
-# that, and admits regular representations up to order 8192.
+# bytes an element matrix may take, counted in the widest cell (elements x
+# degree x 4) although its cells take 1, 2 or 4 bytes (``_cell``), so that
+# narrow cells admit no larger group.  The largest matrix that the corpus,
+# the bundled manifest and the benchmark build is psl2:31's in the
+# benchmark, 0.48 MB in 1-byte cells (1.9 MB counted); the manifest's
+# semidirect product of order 1029 acts on 346 points, 0.71 MB in 2-byte
+# cells (1.4 MB counted).  256 MiB leaves over 100 times that, and admits
+# regular representations up to order 8192.
 ELEMENT_STORAGE_BUDGET = 1 << 28
-# keys are looked up in a dense int32 table while it takes at most this many
-# times the memory of the element matrix, else by binary search on the sorted
-# base images.  Measured on sym:8, alt:8 and psl3:3, the table finds a column
-# of keys 4-10x faster than the search; the cap only bounds its memory, and
-# admits psl3:3 (5.1x) and sym:8 (6.5x).
+# keys are looked up in a dense int32 table while it has at most this many
+# times the entries of the element matrix, else by binary search on the
+# sorted base images.  Measured on sym:8, alt:8 and psl3:3, the table finds
+# a column of keys 4-10x faster than the search; the cap only bounds its
+# size, and admits psl3:3 (5.1x) and sym:8 (6.5x).
 _TABLE_PER_MATRIX = 8
 # the stabilizer chain builds transversal layers and tests Schreier
 # generators in numpy blocks of at most this many entries (rows x degree).
@@ -121,10 +130,12 @@ def close_generators(
     docstring).  Before each transversal is allocated, and before G is
     enumerated, that product is checked against ``order_cap``
     (GroupTooLargeError) and, times ``degree`` x 4 bytes, against
-    ``ELEMENT_STORAGE_BUDGET`` (BudgetError).  G is then the set of products
-    of one element from each transversal, each made once, with one numpy
-    gather per level; ``FiniteGroup`` puts them in the canonical order, so
-    any generating set of the same group indexes the elements identically.
+    ``ELEMENT_STORAGE_BUDGET`` (BudgetError); the rows themselves take 1, 2
+    or 4 bytes per image (``_cell``), at most that.  G is then the set of
+    products of one element from each transversal, each made once, with one
+    numpy gather per level; ``FiniteGroup`` puts them in the canonical
+    order, so any generating set of the same group indexes the elements
+    identically.
     """
     gens = list(gens)
     if not gens:
@@ -141,7 +152,9 @@ def close_generators(
 def check_order(order: int, degree: int, order_cap: int) -> None:
     """Refuse a group of ``order`` elements of ``degree`` points before its
     rows are built: GroupTooLargeError above ``order_cap``, BudgetError if
-    its element matrix (order x degree x 4 bytes) exceeds the budget."""
+    its element matrix, counted in the widest cell (order x degree x 4
+    bytes), exceeds the budget.  The matrix takes 1, 2 or 4 bytes per cell
+    (``_cell``), so this bounds it from above and admits no larger group."""
     if order > order_cap:
         raise GroupTooLargeError(order_cap, order)
     if 4 * order * degree > ELEMENT_STORAGE_BUDGET:
@@ -154,9 +167,9 @@ class _Level:
     strong generators (each fixes the base points above b), the orbit of b
     under them and its transversal, whose r-th row is an element of the
     level's group sending b to the r-th least orbit point: Python lists in
-    ``rows``, or a numpy array ``U`` if it holds more than ``_LIST_LEVEL``
-    entries.  ``pairs`` is None while the generators have changed since the
-    orbit was made."""
+    ``rows``, or a numpy array ``U`` of the chain's cells if it holds more
+    than ``_LIST_LEVEL`` entries.  ``pairs`` is None while the generators
+    have changed since the orbit was made."""
 
     __slots__ = ("point", "gens", "size", "where", "pos", "U", "rows",
                  "inverse", "inverse_rows", "pairs", "tested")
@@ -172,15 +185,19 @@ class _Chain:
     A level with a list transversal tests its Schreier generators one at a
     time; a level with a numpy transversal tests them in blocks.  Either way
     the few that are not already the identity are sifted one at a time, as
-    lists, by ``_sift_row``.
+    lists, by ``_sift_row``.  Every numpy row it makes (the strong generators
+    ``S``, the transversals, their inverses and the elements of G) is in
+    the cell of its degree, ``cell``; the flat offsets that index them are
+    intp, as numpy makes arrays of Python ints.
     """
 
     def __init__(self, gens: Sequence[Perm], order_cap: int):
         d = self.degree = gens[0].degree
         self.order_cap = order_cap
+        self.cell = _cell(d)
         self.identity = list(range(d))
         self.images: list[list[int]] = []   # per strong generator
-        self.S = np.empty((0, d), dtype=np.int32)
+        self.S = np.empty((0, d), dtype=self.cell)
         self.levels: list[_Level] = []
         # the generator moving the least point founds the first level
         for h in sorted((list(g.images) for g in gens), key=_first_moved):
@@ -259,7 +276,7 @@ class _Chain:
                 rows[where[q]] = [s[x] for x in rows[where[p]]]
             return
         S = self._stacked().reshape(-1)
-        L.rows, U = None, np.empty((len(orbit), d), dtype=np.int32)
+        L.rows, U = None, np.empty((len(orbit), d), dtype=self.cell)
         U[where[L.point]] = self.identity
         edges = np.array(tree).reshape(-1, 2)
         via, at, to = edges[:, :1] * d, L.pos[edges[:, 1]], L.pos[orbit[1:]]
@@ -278,7 +295,7 @@ class _Chain:
     def _stacked(self) -> np.ndarray:
         """The strong generators as numpy rows."""
         if len(self.S) < len(self.images):
-            self.S = np.array(self.images, dtype=np.int32)
+            self.S = np.array(self.images, dtype=self.cell)
         return self.S
 
     def _inverse(self, L: _Level) -> np.ndarray:
@@ -286,11 +303,11 @@ class _Chain:
         (a group whose Schreier generators are all trivial never needs
         them)."""
         if L.inverse is None:
-            U = _rows(L)
+            U = self._rows(L)
             n, d = U.shape
             L.inverse = np.empty_like(U)
-            at = np.arange(0, n * d, d, dtype=np.int32)[:, None]
-            L.inverse.reshape(-1)[U + at] = np.arange(d, dtype=np.int32)
+            at = np.arange(0, n * d, d, dtype=np.intp)[:, None]
+            L.inverse.reshape(-1)[U + at] = np.arange(d, dtype=self.cell)
         return L.inverse
 
     def _transversal_inverse(self, L: _Level, r: int) -> list[int]:
@@ -366,16 +383,24 @@ class _Chain:
         ascending, so a one-level chain gives them in canonical order."""
         check_order(prod(L.size for L in self.levels), self.degree, self.order_cap)
         if not self.levels:
-            return np.array([self.identity], dtype=np.int32)
-        E = _rows(self.levels[-1])
+            return np.array([self.identity], dtype=self.cell)
+        E = self._rows(self.levels[-1])
         for L in reversed(self.levels[:-1]):
-            E = _rows(L).take(E, axis=1).reshape(-1, self.degree)
+            E = self._rows(L).take(E, axis=1).reshape(-1, self.degree)
         return E
 
+    def _rows(self, L: _Level) -> np.ndarray:
+        """A level's transversal as a numpy array of the chain's cells."""
+        return L.U if L.rows is None else np.array(L.rows, dtype=self.cell)
 
-def _rows(L: _Level) -> np.ndarray:
-    """A level's transversal as a numpy array."""
-    return L.U if L.rows is None else np.array(L.rows, dtype=np.int32)
+
+def _cell(degree: int) -> type:
+    """The narrowest cell that holds every point of ``degree`` points, the
+    type of every element row: uint8 up to 256 points, uint16 up to 65 536,
+    else int32."""
+    if degree <= 1 << 8:
+        return np.uint8
+    return np.uint16 if degree <= 1 << 16 else np.int32
 
 
 def _first_moved(images: list[int]) -> int:
@@ -398,7 +423,7 @@ class FiniteGroup:
         Rows that repeat, or lack the identity, raise InvariantError.
         """
         self.generators = tuple(generators)
-        matrix = np.ascontiguousarray(rows, dtype=np.int32)
+        matrix = np.ascontiguousarray(rows, dtype=_cell(np.shape(rows)[1]))
         self.base = _greedy_base(matrix)
         n, d, k = *matrix.shape, len(self.base)
         self._weights = (d ** np.arange(k - 1, -1, -1, dtype=np.int64)

@@ -639,8 +639,9 @@ def group_from_table(ct: CosetTable,
     permutation is a homomorphism under the apply-right-first composition,
     and relator words multiply to the identity permutation.
     ``close_generators`` checks the order cap and the element-storage
-    budget (order x degree x 4 bytes) before it builds any row.  The action
-    is a quotient of G, so the closure has order n, the live-coset count,
+    budget (order x degree x 4 bytes, the widest cell; the rows take 1, 2
+    or 4 bytes per image) before it builds any row.  The action is a
+    quotient of G, so the closure has order n, the live-coset count,
     exactly when it is faithful; InvariantError otherwise.
     """
     table = ct.closed

@@ -1,9 +1,11 @@
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
-from centra.classify import is_dihedral_group, is_simple
+from centra.classify import acts_fixed_point_freely, is_dihedral_group, is_simple
 from centra.constructors import (
     ActionSpec,
     abelian,
@@ -278,6 +280,42 @@ def test_semidirect_multiplication_convention():
         for i, (n1, h1) in enumerate(parts):
             for j, (n2, h2) in enumerate(parts):
                 assert parts[G.mul(i, j)] == (N.mul(n1, phi[h1](n2)), H.mul(h1, h2))
+
+
+def test_power_automorphism_over_a_graph_past_256_points():
+    # C129's graph acts on 258 points, so its rows take 2-byte cells while
+    # C129's own take 1 byte; phi(h) is read from the graph's second half
+    C = cyclic(129)
+    assert C.matrix.dtype == np.uint8
+    assert _graph(C, list(C.generators)).matrix.dtype == np.uint16
+    for k in (2, 5, 128):
+        assert power_automorphism(C, k).images == tuple(
+            C.power(i, k) for i in range(C.order))
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_semidirect_past_256_points(n):
+    # C_n x| C2 by inversion on |N| + deg(H) = n + 2 > 256 points, N's rows
+    # in 1-byte cells and the product's in 2-byte ones: the dihedral group
+    # of order 2n, whose action fixes no non-identity element of N iff n is
+    # odd.  Products of sampled pairs follow (n1, h1)(n2, h2) =
+    # (n1 * phi(h1)(n2), h1 h2), with (n, h) read off each row
+    N, H = cyclic(n), cyclic(2)
+    spec = ActionSpec(H, N, {0: power_automorphism(N, -1)})
+    assert spec.graph.matrix.dtype == np.uint16
+    assert acts_fixed_point_freely(spec) == (n % 2 == 1)
+    G = semidirect(spec)
+    assert (G.order, G.degree, G.matrix.dtype) == (2 * n, n + 2, np.uint16)
+    assert is_dihedral_group(G)
+    [g] = H.generator_indices()
+    phi = {0: list(range(n)), g: [N.inv(x) for x in range(n)]}
+    parts = [(row[0], H.index_of(Perm(v - n for v in row[n:])))
+             for row in G.matrix.tolist()]
+    rng = random.Random(n)
+    for _ in range(300):
+        i, j = rng.randrange(G.order), rng.randrange(G.order)
+        (n1, h1), (n2, h2) = parts[i], parts[j]
+        assert parts[G.mul(i, j)] == (N.mul(n1, phi[h1][n2]), H.mul(h1, h2))
 
 
 def test_invalid_actions_rejected():

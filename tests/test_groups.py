@@ -457,13 +457,63 @@ def test_element_matrix_matches_perm_closure(name):
     G = REFERENCE_GROUPS[name]
     ref = [Perm(row) for row in _closure_rows(G.generators)]
     assert [p.images for p in G] == [p.images for p in ref]
-    assert G.matrix.dtype == np.int32 and G.matrix.flags.c_contiguous
+    assert G.matrix.dtype == groups._cell(G.degree) and G.matrix.flags.c_contiguous
     assert G.matrix.tolist() == [list(p.images) for p in ref]
     assert all(G.index_of(p) == i for i, p in enumerate(ref))
     if name in ("ex_order18", "dihedral-262"):
         assert G.degree == G.order
     if name == "induced:alt4":
         assert G.order == 12
+
+
+# the cell each degree's rows take: 1 byte up to 256 points, 2 up to 65 536
+CELLS = {255: np.uint8, 256: np.uint8, 257: np.uint16, 65536: np.uint16,
+         65537: np.int32}
+
+
+def _s4_on_the_last_points(d):
+    """S4 on the points 0, d-3, d-2 and d-1 of d points (so images reach
+    d-1), from the transposition of 0 and d-1 and the 4-cycle through all
+    four; and those four points."""
+    points = [0, d - 3, d - 2, d - 1]
+    swap, cycle = list(range(d)), list(range(d))
+    swap[0], swap[d - 1] = d - 1, 0
+    for p, q in zip(points, points[1:] + points[:1]):
+        cycle[p] = q
+    return [Perm(swap), Perm(cycle)], points
+
+
+@pytest.mark.parametrize("degree", sorted(CELLS))
+def test_cells_at_the_degree_boundaries(degree):
+    gens, points = _s4_on_the_last_points(degree)
+    cell = CELLS[degree]
+    assert groups._cell(degree) == cell
+    # the chain's strong generators and transversals, list levels included
+    chain = groups._Chain(gens, groups.DEFAULT_ORDER_CAP)
+    assert chain._stacked().dtype == cell
+    assert {chain._rows(L).dtype for L in chain.levels} == {np.dtype(cell)}
+    G = close_generators(gens)
+    assert G.order == 24
+    assert G.matrix.dtype == cell and G.matrix.flags.c_contiguous
+    fixed = np.setdiff1d(np.arange(degree), points)
+    assert (G.matrix[:, fixed] == fixed).all()
+    # every element fixes the other points, so the reference arithmetic is
+    # that of the Perms on the four points, in the order of ``points``
+    el = [Perm(points.index(x) for x in row)
+          for row in G.matrix[:, points].tolist()]
+    index = {p: i for i, p in enumerate(el)}
+    assert [G.element_order(i) for i in range(24)] == [x.order() for x in el]
+    assert [G.inv(i) for i in range(24)] == [index[x.inverse()] for x in el]
+    for j in range(24):
+        g = el[j]
+        right, left = [x * g for x in el], [g * x for x in el]
+        assert list(G.right_mult_column(j)) == [index[y] for y in right]
+        assert [G.mul(i, j) for i in range(24)] == [index[y] for y in right]
+        assert [G.mul(j, i) for i in range(24)] == [index[y] for y in left]
+        conj = [index[x.conjugate_by(g)] for x in el]
+        assert G.conjugates(range(24), [j]).tolist() == [conj]
+        commuting = [i for i in range(24) if right[i] == left[i]]
+        assert G.commute_mask(j) == G.mask_of(commuting)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))

@@ -335,6 +335,16 @@ def test_cli_usage_error_exit_2(capsys):
         assert main(["check-x", spec]) == 2
         err = capsys.readouterr().err
         assert "xsp:P,p or xsp:P,p2" in err and "unpack" not in err
+    # a non-integer parameter names the spec and its form
+    for spec, form in (("cyclic:abc", "cyclic:N"),
+                       ("abelian:2,,3", "abelian:D1,D2,..."),
+                       ("dihedral:", "dihedral:2N"), ("q:", "q:2^n"),
+                       ("sym:1.5", "sym:N"), ("psl2:x", "psl2:Q"),
+                       ("dp:cyclic:4;alt:x", "alt:N")):
+        assert main(["check-x", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"bad group spec {spec.split(';')[-1]!r}: expected {form}" in err
+        assert "invalid literal" not in err
 
 
 def test_cli_order_cap_bounds_presentation_specs(tmp_path, monkeypatch, capsys):
@@ -534,24 +544,39 @@ def test_child_peak_is_not_the_parents():
     assert peak < 100
 
 
-def test_cli_check_x_of_a_large_group_stays_small():
-    # alt:9 (181 440 elements) is decided by pair relations, with no
-    # right-multiplication column per scanned pair: its peak RSS was 253 MB
-    # when the scan closed each pair, and is about 70 MB now
-    proc, peak = _cli_with_peak("check-x", "alt:9")
+def _check_x_non_member_peak(spec):
+    """Run ``check-x spec`` in a child, require a non-member whose witness
+    re-verifies, and return the child's own peak RSS in MB."""
+    proc, peak = _cli_with_peak("check-x", spec)
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["member"] is False
-    G = parse_group_spec("alt:9")
+    G = parse_group_spec(spec)
     w = out["witness"]
     verdict = classify.MembershipVerdict(
         member=False,
         witness=classify.Witness(
-            tuple(perms_from_cycles(w["generators"], 9)), parse_cycles(w["z"], 9)),
+            tuple(perms_from_cycles(w["generators"], G.degree)),
+            parse_cycles(w["z"], G.degree)),
         method=out["method"],
     )
     assert classify.verify_witness(G, verdict, "X")
-    assert peak < 150
+    return peak
+
+
+def test_cli_check_x_of_a_large_group_stays_small():
+    # alt:9 (181 440 elements) is decided by pair relations, with no
+    # right-multiplication column per scanned pair: its peak RSS was 253 MB
+    # when the scan closed each pair, 69 MB with 4-byte cells and is about
+    # 61 MB with 1-byte ones
+    assert _check_x_non_member_peak("alt:9") < 100
+
+
+def test_cli_check_x_psl2_73_stays_small():
+    # PSL2(73) (194 472 elements on 74 points) is the largest group of the
+    # check-x ladder: its element matrix took 58 MB in 4-byte cells (a
+    # 150 MB peak) and takes 14 MB in 1-byte ones (about 70 MB)
+    assert _check_x_non_member_peak("psl2:73") < 100
 
 
 def test_manifest_relative_presentation_spec(tmp_path):
