@@ -573,7 +573,11 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
         return direct_product(*factors, order_cap=order_cap)
     if head == "sdp":
         path = _resolve_at_path(arg, base_dir)
-        data = json.loads(path.read_text())
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"bad group spec {spec!r}: {path} is not JSON "
+                             f"({exc})") from None
         return semidirect(
             ActionSpec.from_json(data, base_dir=path.parent, order_cap=order_cap),
             order_cap,
@@ -590,8 +594,10 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
                 convention = suffix
             elif suffix == "auto" or suffix.startswith("auto:"):
                 _, _, h = suffix.partition(":")
-                if h:
-                    hint = _spec_int(spec, h, "presentation:@file.pres#auto:HINT")
+                form = "presentation:@file.pres#auto:HINT"
+                if h and (hint := _spec_int(spec, h, form)) < 1:
+                    raise ValueError(f"bad group spec {spec!r}: expected {form} "
+                                     f"with HINT at least 1")
             else:
                 raise ValueError(f"bad presentation suffix {suffix!r}")
         realized = realize(

@@ -36,19 +36,14 @@ lookahead and the closure check at the end read it, and the table that
 ends the enumeration is kept as ``closed``.  A closed table is G's action
 on the right cosets of H, so the live-coset count n is |G:H|.
 
-``realize`` proves |G| by a sandwich before it tries the regular table.
-For a generator x with a pure-power relator x^k, the cosets of
-H = <x^e> (e = 1 or a prime power dividing k exactly) bound |G| above by
-n k/e; the coset actions, and unions of them, are quotients of G, so the
-order of their closure bounds |G| below.  Where the bounds meet, that
-union is a faithful action, often far smaller than the regular one
-(c31-c15 acts on the 31 cosets of <b>, and C2000 on 16 + 125 points).
-Otherwise the fallback enumerates over the trivial subgroup, whose table
-is the right regular action, with n = |G|; ``group_from_table`` reads off
-it the action on the right cosets of a few cyclic subgroups whose cores
-meet in {1}, or keeps the regular action where no such subgroups exist,
-as in C_p or Q16.  Either way ``close_generators`` makes the group, and
-its order proves the action faithful.
+``realize`` makes each convention's group by one search (``_search``).
+The cosets of cyclic subgroups bound |G| above, and their actions, which
+are quotients of G, bound it below; where the bounds meet, or once the
+enumeration over the trivial subgroup gives |G|, a union of those actions
+whose closure has order |G| is G, often on far fewer points than the
+regular action (c31-c15 acts on the 31 cosets of <b>, and C2000 on
+16 + 125 points).  The regular action is kept only where no union of
+fewer points is faithful, as in C_p or Q16.
 """
 
 from __future__ import annotations
@@ -527,19 +522,18 @@ def todd_coxeter(pres: Presentation, convention: str,
 
     Each subgroup word is first scanned from coset 0, the coset H itself,
     which makes it close there for the rest of the run (coincidences only
-    merge cosets).  Then each live coset alpha in turn is scanned with
-    every relator, then its row is filled by definitions.  A gap pointer,
-    which only moves forward, finds the first live coset from alpha up
-    with an undefined entry, so the test costs O(cosets x columns) over
-    the whole run.  When there is
-    none, every live row is complete (rows below alpha were filled in their
-    turn), and each relator is traced from all live cosets from alpha up at
-    once, with numpy gathers over the columns.  If every (relator, coset)
-    pair closes, the steps left would change nothing (a closed scan neither
-    defines nor deduces anything, and no row is left to fill), so the loop
-    stops there and the definition order, ``p`` and ``cols`` are those of
-    plain HLT.  Otherwise every scan runs as usual, and the next lookahead
-    waits until new cosets have been defined.
+    merge cosets).  Then each live coset alpha in turn is scanned with every
+    relator, then its row is filled by definitions.  A gap pointer, which
+    only moves forward, finds the first live coset from alpha up with an
+    undefined entry, so the test costs O(cosets x columns) over the whole
+    run.  When there is none, every live row is complete (rows below alpha
+    were filled in their turn), and each relator is traced from all live
+    cosets from alpha up at once, with numpy gathers over the columns.  If
+    every (relator, coset) pair closes, the steps left would change nothing
+    (a closed scan neither defines nor deduces anything, and no row is left
+    to fill), so the loop stops there and the definition order, ``p`` and
+    ``cols`` are those of plain HLT.  Otherwise every scan runs as usual, and
+    the next lookahead waits until new cosets have been defined.
 
     Raises BudgetError before expanding any relator if they hold more than
     ``MAX_COSETS`` letters in all.  Returns a closed table, its renumbered
@@ -551,8 +545,14 @@ def todd_coxeter(pres: Presentation, convention: str,
     one coset is a valid result: H = G, the trivial group if H = {1}.
     """
     pres.check_length(MAX_COSETS)
-    ct = CosetTable(pres.num_generators)
-    relators = [ct.compile(word) for word in pres.relators(convention)]
+    return _enumerate(pres.num_generators, pres.relators(convention), subgroup)
+
+
+def _enumerate(num_generators: int, relators: list[list[int]],
+               subgroup: Sequence[list[int]]) -> CosetTable:
+    """``todd_coxeter`` on relators already flattened and bounded."""
+    ct = CosetTable(num_generators)
+    relators = [ct.compile(word) for word in relators]
     for word in subgroup:
         ct.scan_and_fill(0, ct.compile(word))
     p, cols = ct.p, ct.cols
@@ -628,114 +628,34 @@ class RealizedPresentation:
 def group_from_table(ct: CosetTable,
                      order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """The group presented by a table that ``todd_coxeter`` closed over the
-    trivial subgroup, acting on a small faithful union of coset spaces.
+    trivial subgroup, as its right regular action.
 
-    ``ct.closed``, the live table that ``todd_coxeter`` checked, is the right
-    regular action: live coset k is the element g_k with 0 . g_k = k, and
-    the column of x sends g_k to g_k x.  ``_coset_action`` reads off it the
-    generators' action on the right cosets of a few cyclic subgroups, or the
-    regular action if no such union is faithful.  These are right actions,
-    so each generator x acts as x^-1 does on the cosets: then generator ->
-    permutation is a homomorphism under the apply-right-first composition,
-    and relator words multiply to the identity permutation.
-    ``close_generators`` checks the order cap and the element-storage
-    budget (order x degree x 4 bytes, the widest cell; the rows take 1, 2
-    or 4 bytes per image) before it builds any row.  The action is a
-    quotient of G, so the closure has order n, the live-coset count,
-    exactly when it is faithful; InvariantError otherwise.
+    ``ct.closed``, the live table that ``todd_coxeter`` checked, is that
+    action: live coset k is the element g_k with 0 . g_k = k, and the column
+    of x sends g_k to g_k x.  ``close_generators`` checks the order cap and
+    the element-storage budget (order x degree x 4 bytes, the widest cell;
+    the rows take 1, 2 or 4 bytes per image) before it builds any row.  The
+    action is faithful, so the closure has order n, the live-coset count;
+    InvariantError otherwise.
     """
-    table = ct.closed
-    if table is None:
+    if ct.closed is None:
         raise InvariantError("the coset table was not closed by todd_coxeter")
-    n = table.shape[1]
-    G = close_generators([Perm(row) for row in _coset_action(table).tolist()],
-                         order_cap)
-    if G.order != n:
-        raise InvariantError(f"the coset action has order {G.order}, not {n}")
+    return _close([ct.closed[1::2]], order_cap, ct.closed.shape[1])
+
+
+def _close(actions: list[np.ndarray], order_cap: int,
+           order: int | None = None) -> FiniteGroup:
+    """The closure of the generators acting on a disjoint union of coset
+    spaces, each given by the inverse columns of its closed table: on right
+    cosets x acts as x^-1 does, so that generator -> permutation is a
+    homomorphism under the apply-right-first composition.  InvariantError
+    unless the closure has ``order`` elements, where that is given."""
+    offsets = np.cumsum([0] + [a.shape[1] for a in actions[:-1]])
+    rows = np.concatenate([a + o for a, o in zip(actions, offsets)], axis=1)
+    G = close_generators([Perm(r) for r in rows.tolist()], order_cap)
+    if order is not None and G.order != order:
+        raise InvariantError(f"the coset action has order {G.order}, not {order}")
     return G
-
-
-def _coset_action(table: np.ndarray) -> np.ndarray:
-    """One row of images per generator: the action on the right cosets of
-    a few cyclic subgroups <h> that meet in a trivial core, or the inverse
-    columns (the regular action) if none do.
-
-    The candidates are <x> and each <x^(p^v)> with p^v || |x|, for every
-    generator x; |x| is the length of its cycle through coset 0.  The right
-    cosets of <h> (its blocks) are the cycles of left multiplication by h,
-    so there are n / |h| of them; candidates with one block, or with h = 1,
-    are dropped.  Left multiplication by each generator x comes from one
-    pass over a spanning tree from coset 0: if k . y = j, x g_j = (x g_k) y.
-    The kernel of the action on the blocks of <h> is <h^d>, for d the order
-    of right multiplication by h on the blocks, a divisor of |h|.
-    A candidate with a trivial kernel is taken alone, the one with the
-    fewest blocks; otherwise candidates are added by increasing block count
-    while each shrinks the intersection of the kernels, until it is {1}.
-    """
-    n = table.shape[1]
-    fwd, inv = table[0::2], table[1::2]
-    cols = fwd.tolist()
-    cycles = []  # cycles[i][j] is the coset 0 . x_i^j
-    for col in cols:
-        cycle, k = [0], col[0]
-        while k:
-            cycle.append(k)
-            k = col[k]
-        cycles.append(cycle)
-    # (|h|, i, e) for h = x_i^e, by block count n / |h|, ascending
-    candidates = sorted(((len(cycle) // e, i, e) for i, cycle in enumerate(cycles)
-                         for e in [1] + [p**v for p, v in factorize(len(cycle))]
-                         if 1 < len(cycle) // e < n), key=lambda c: -c[0])
-    if not candidates:
-        return inv
-    lefts = [[col[0]] * n for col in cols]  # lefts[i][k]: the coset of x_i g_k
-    seen = bytearray(n)
-    seen[0] = 1
-    reached = [0]
-    for k in reached:
-        for col in cols:
-            j = col[k]
-            if not seen[j]:
-                seen[j] = 1
-                reached.append(j)
-                for left in lefts:
-                    left[j] = col[left[k]]
-    actions = []  # (kernel, block of each coset, least coset of each block)
-    for m, i, e in candidates:
-        left, least = _power(np.array(lefts[i]), e), np.arange(n)
-        for _ in range((m - 1).bit_length()):  # the least coset of each cycle
-            least = np.minimum(least, least[left])
-            left = left[left]
-        reps, block = np.unique(least, return_inverse=True)
-        on_blocks = block[_power(fwd[i], e)[reps]]  # right multiplication by h
-        d, identity = m, np.arange(len(reps))
-        for r, _ in factorize(m):
-            while d % r == 0 and (_power(on_blocks, d // r) == identity).all():
-                d //= r
-        core = set(cycles[i][::e * d])  # <h^d>
-        if len(core) == 1:  # faithful, with the fewest blocks of any such
-            actions = [(core, block, reps)]
-            break
-        actions.append((core, block, reps))
-    kernel, parts = set(range(n)), []
-    for core, block, reps in actions:
-        if not kernel <= core:
-            kernel &= core
-            parts.append(block[inv[:, reps]] + sum(part.shape[1] for part in parts))
-            if len(kernel) == 1:
-                return np.concatenate(parts, axis=1)
-    return inv
-
-
-def _power(perm: np.ndarray, e: int) -> np.ndarray:
-    """The e-th power of a permutation array, by repeated squaring."""
-    out = np.arange(len(perm))
-    while e:
-        if e & 1:
-            out = perm[out]
-        perm = perm[perm]
-        e >>= 1
-    return out
 
 
 def _power_exponents(relators: list[list[int]], num_generators: int) -> list[int]:
@@ -757,74 +677,73 @@ def _action_order(ct: CosetTable, i: int, e: int) -> int:
     return ct.closed.shape[1] * (d // gcd(d, e))
 
 
-def _sandwich(pres: Presentation, convention: str,
-              order_cap: int) -> FiniteGroup | None:
-    """G on a union of its actions on the cosets of cyclic subgroups, with
-    |G| proved by a sandwich; None where no proof is found.
+def _search(pres: Presentation, relators: list[list[int]],
+            order_cap: int) -> FiniteGroup:
+    """G under one convention's flattened ``relators``, on a small faithful
+    union of its actions on the cosets of cyclic subgroups.
 
-    A generator x with x^k = 1 (``_power_exponents``) gives the candidates
-    H = <x^e> for e = 1 and each prime power e || k other than k itself,
-    and |H| <= k/e since the order of x divides k.  A closed enumeration of
-    the n cosets of H gives |G| = n |H| <= n k/e; B is the least of these
-    bounds.  Each coset action is a quotient of G, and so is a union of
-    them, so its order Q is at most |G|.  Once some Q = B, |G| = Q is
-    proved and that action is faithful: it is G.  A generator with no
-    pure-power relator still gives the action on the cosets of <x>, which
-    bounds nothing but may join a union (ex_order12's <a>, with 3 cosets).
-
+    First a sandwich.  A generator x with x^k = 1 (``_power_exponents``)
+    gives the candidates H = <x^e> for e = 1 and each prime power e || k
+    other than k itself, and |H| <= k/e since the order of x divides k.  A
+    closed enumeration of the n cosets of H gives |G| = n |H| <= n k/e; B is
+    the least of these bounds.  Each coset action is a quotient of G, and so
+    is a union of them, so its order Q is at most |G|.  Once some Q = B,
+    |G| = Q is proved and that action is faithful: it is G.  A generator
+    with no pure-power relator still gives the action on the cosets of <x>,
+    which bounds nothing but may join a union (ex_order12's <a>, 3 cosets).
     One action needs no closure to know Q (``_action_order``); a union's Q
-    is the order of its closure.  Where a single action has n = B points,
-    H = 1 and its table is the regular one, which ``group_from_table``
-    realizes on a smaller union read off it.
+    is the order of its closure.
 
     Every <x> is enumerated first (none where x alone generates G), by
     decreasing bound k on |H| (so by the least index each allows), those
     with no bound last, and each is tried alone.  Then a union adds them
     by increasing index while each raises Q.  The prime powers follow one
     at a time by decreasing k/e, each tried alone and then added to the
-    union, until Q = B.  No union of B or more points is closed, and each
-    closure is capped at min(order_cap, B).  An inconclusive enumeration,
-    or a closure over the order cap or the element-storage budget, ends
-    the search.
+    union.  No union of B or more points is closed, and each closure is
+    capped at min(order_cap, B).  An inconclusive enumeration, or a closure
+    over the order cap or the element-storage budget, ends the sandwich;
+    so does a single of B points, as then H = 1.
+
+    That single's table, or else the enumeration over the trivial
+    subgroup, is the regular action, and B = |G| = n.  Each generator's
+    order is then its order there, so the candidates are <x^e> for e = 1
+    and each prime power e || |x|, of index n e/|x| between 1 and n.  By
+    increasing index, each enumerated unless it was, the first with Q = n
+    is G; else a new union adds them in that order while each raises Q.
+    Where no union of fewer than n points is faithful, G is the regular
+    action (``group_from_table``), as in C_p and Q16.
     """
-    ks = _power_exponents(pres.relators(convention), pres.num_generators)
-    if all(k < 2 for k in ks):
-        return None
+    num = pres.num_generators
+    ks = _power_exponents(relators, num)
     # (bound on |H|, 0 if none; generator; e) for each candidate H = <x^e>
     firsts = sorted(((k, i, 1) for i, k in enumerate(ks)
-                     if k != 1 and pres.num_generators > 1),
+                     if k != 1 and num > 1 and max(ks) > 1),
                     key=lambda c: (c[0] == 0, -c[0]))
     powers = sorted(((k // p**v, i, p**v) for i, k in enumerate(ks) if k > 1
                      for p, v in factorize(k) if p**v < k), key=lambda c: -c[0])
     bound = inf
-    singles: list[tuple[int, CosetTable]] = []  # (Q, table) per subgroup
+    tried: dict[tuple[int, int], tuple[int, CosetTable]] = {}  # (Q, table) by (i, e)
     union: list[np.ndarray] = []  # the union's actions, as image rows
     joined = 1  # the union's Q
     union_group: FiniteGroup | None = None  # its closure, once it has two
+    regular: CosetTable | None = None  # a table over H = 1, once known
 
     def enumerate_cosets(m: int, i: int, e: int) -> tuple[int, CosetTable]:
         """The order of the action on the cosets of <x_i^e>, and its table."""
         nonlocal bound
-        ct = todd_coxeter(pres, convention, [[i + 1] * e])
-        n = ct.closed.shape[1]
+        ct = _enumerate(num, relators, [[i + 1] * e])
         if m:
-            bound = min(bound, n * m)
-        singles.append((_action_order(ct, i, e), ct))
-        return singles[-1]
-
-    def close(actions: list[np.ndarray]) -> FiniteGroup:
-        offsets = np.cumsum([0] + [a.shape[1] for a in actions[:-1]])
-        rows = np.concatenate([a + o for a, o in zip(actions, offsets)], axis=1)
-        return close_generators([Perm(r) for r in rows.tolist()],
-                                min(order_cap, bound))
+            bound = min(bound, ct.closed.shape[1] * m)
+        tried[i, e] = (_action_order(ct, i, e), ct)
+        return tried[i, e]
 
     def extend(order: int, ct: CosetTable) -> None:
         """Add the action to the union if that raises the union's Q."""
         nonlocal joined, union_group
-        action = ct.closed[1::2]  # x acts as x^-1 does on the right cosets
+        action = ct.closed[1::2]
         if order == 1 or sum(a.shape[1] for a in union) + action.shape[1] >= bound:
             return
-        H = close(union + [action]) if union else None
+        H = _close(union + [action], min(order_cap, bound)) if union else None
         if H is not None:
             order = H.order
         if order > joined:
@@ -835,34 +754,55 @@ def _sandwich(pres: Presentation, convention: str,
         return single[1].closed.shape[1]
 
     def proved() -> FiniteGroup | None:
-        """G, if a single action (the fewest points first) or the union
-        has order B."""
-        for order, ct in sorted(singles, key=by_index):
-            if order == bound:
-                if ct.closed.shape[1] == bound:
-                    return group_from_table(ct, order_cap)
-                G = close([ct.closed[1::2]])
-                if G.order != bound:
-                    raise InvariantError(f"a coset action has order {G.order}, "
-                                         f"not {bound}")
-                return G
+        """G, if a single action (the fewest points first) or the union has
+        order B; a single of B points is the regular table, kept instead."""
+        nonlocal regular
+        for single in sorted(tried.values(), key=by_index):
+            if single[0] == bound:
+                if by_index(single) == bound:
+                    regular = single[1]
+                    return None
+                return _close([single[1].closed[1::2]], min(order_cap, bound), bound)
         if union_group is not None and union_group.order == bound:
             return union_group
         return None
 
-    try:
+    def sandwich() -> FiniteGroup | None:
+        """G, if the bounds meet before a regular table turns up."""
         for c in firsts:
             enumerate_cosets(*c)
-            if (G := proved()) is not None:
+            if (G := proved()) is not None or regular is not None:
                 return G
-        for single in chain(sorted(singles, key=by_index),
+        for single in chain(sorted(tried.values(), key=by_index),
                             (enumerate_cosets(*c) for c in powers)):
             extend(*single)
-            if (G := proved()) is not None:
+            if (G := proved()) is not None or regular is not None:
                 return G
+        return None
+
+    try:
+        if (G := sandwich()) is not None:
+            return G
     except (EnumerationInconclusiveError, GroupTooLargeError, BudgetError):
         pass
-    return None
+    regular = regular or _enumerate(num, relators, ())
+    bound = regular.closed.shape[1]  # |G|
+    xs = [Perm(col).order() for col in regular.closed[0::2].tolist()]  # |x_i|
+    known = {(i, gcd(e, xs[i])): single for (i, e), single in tried.items()}
+    found = []
+    for m, i, e in sorted(((m // e, i, e) for i, m in enumerate(xs)
+                           for e in [1] + [p**v for p, v in factorize(m)]
+                           if 1 < m // e < bound), key=lambda c: -c[0]):
+        found.append(known.get((i, e)) or enumerate_cosets(m, i, e))
+        if found[-1][0] == bound:  # faithful, on the fewest points of any single
+            return _close([found[-1][1].closed[1::2]], order_cap, bound)
+    union.clear()
+    joined, union_group = 1, None
+    for single in found:
+        extend(*single)
+        if union_group is not None and union_group.order == bound:
+            return union_group
+    return group_from_table(regular, order_cap)
 
 
 def realize(
@@ -874,19 +814,9 @@ def realize(
     """Realize a presentation as a permutation group on a small faithful
     union of coset spaces.
 
-    Each convention first tries ``_sandwich``, which proves |G| between
-    two bounds.  A relator x^k makes the order of x divide k, so
-    H = <x^e> has at most k/e elements, and an enumeration of H's cosets
-    that closes with n of them gives |G| = n |H| <= n k/e; B is the least
-    such bound.  The action on H's cosets is a quotient of G, and so is a
-    union of such actions, so the order Q of its closure is at most |G|.
-    If Q = B, then |G| = Q and the union is a faithful action: it is G.
-    This trusts a closed enumeration's count of cosets as the regular
-    path trusts its live-coset count for |G|.  Where no union meets its
-    bound, the fallback enumerates over the trivial subgroup
-    (``todd_coxeter``), whose live-coset count is |G|, and
-    ``group_from_table`` makes the group of the chosen convention from
-    that table.
+    The relators are bounded in length and flattened once per convention,
+    and ``_search`` makes each convention's group, trusting a closed
+    enumeration's count of cosets.
 
     Convention "A" or "B" realizes that one alone.  With convention "auto",
     both commutator conventions are realized and the one matching
@@ -898,7 +828,9 @@ def realize(
     presentation is realized once.  Raises BudgetError before expanding any
     relator if they hold more than ``MAX_COSETS`` letters in all, and
     EnumerationInconclusiveError if every attempted convention reaches
-    ``MAX_COSETS`` cosets in the fallback.
+    ``MAX_COSETS`` cosets over the trivial subgroup.  A group of known order
+    over the order cap or the element-storage budget raises under either
+    convention, not only the one chosen.
     """
     if convention == "auto":
         conventions = CONVENTIONS
@@ -908,44 +840,22 @@ def realize(
         raise ValueError(f"convention must be A, B, or auto, not {convention!r}")
 
     pres.check_length(MAX_COSETS)
-    # per convention: the proved group, a closed regular table, or None
-    results: dict[str, FiniteGroup | CosetTable | None] = {}
-    orders: dict[str, int | None] = {}
+    relators = {conv: pres.relators(conv) for conv in conventions}
+    same = len(conventions) == 2 and len(relators["A"]) == len(relators["B"]) \
+        and all(map(_same_closure, relators["A"], relators["B"]))
+    groups: dict[str, FiniteGroup | None] = {}
     defined = 0  # the most cosets an inconclusive enumeration defined
-    rel_a, rel_b = pres.relators("A"), pres.relators("B")
-    same = len(rel_a) == len(rel_b) and all(map(_same_closure, rel_a, rel_b))
     for conv in conventions:
-        if same and conv != conventions[0]:
-            results[conv], orders[conv] = results["A"], orders["A"]
-            continue
-        result = _sandwich(pres, conv, order_cap)
-        if result is not None:
-            orders[conv] = result.order
-        else:
-            try:
-                result = todd_coxeter(pres, conv)
-                orders[conv] = result.closed.shape[1]  # the live cosets
-            except EnumerationInconclusiveError as exc:
-                orders[conv] = None
-                defined = max(defined, exc.defined)
-        results[conv] = result
-    if all(result is None for result in results.values()):
+        try:
+            groups[conv] = (groups["A"] if same and conv == "B"
+                            else _search(pres, relators[conv], order_cap))
+        except EnumerationInconclusiveError as exc:
+            groups[conv] = None
+            defined = max(defined, exc.defined)
+    orders = {c: None if G is None else G.order for c, G in groups.items()}
+    conclusive = [c for c in conventions if orders[c] is not None]
+    if not conclusive:
         raise EnumerationInconclusiveError(MAX_COSETS, defined)
-
-    chosen: str | None = None
-    if order_hint is not None:
-        matching = [c for c in conventions if orders[c] == order_hint]
-        if matching:
-            chosen = matching[0]
-    if chosen is None:
-        conclusive = [c for c in conventions if orders[c] is not None]
-        chosen = max(conclusive, key=lambda c: (orders[c], c == "A"))
-    group = results[chosen]
-    if isinstance(group, CosetTable):
-        group = group_from_table(group, order_cap)
-    return RealizedPresentation(
-        group=group,
-        convention=chosen,
-        orders=orders,
-        hint=order_hint,
-    )
+    chosen = next((c for c in conclusive if orders[c] == order_hint),
+                  max(conclusive, key=lambda c: (orders[c], c == "A")))
+    return RealizedPresentation(groups[chosen], chosen, orders, order_hint)

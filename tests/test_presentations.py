@@ -19,6 +19,7 @@ from centra.groups import ELEMENT_STORAGE_BUDGET, close_generators
 from centra.perms import Perm
 from centra.presentations import (
     CosetTable,
+    Presentation,
     group_from_table,
     parse_presentation,
     realize,
@@ -145,12 +146,13 @@ def test_group_from_table_keeps_order_cap():
     assert group_from_table(ct, order_cap=12).order == 12
 
 
-def test_group_from_table_refuses_an_unfaithful_action(monkeypatch):
-    # C12 acting as a 3-cycle: the closure has order 3, not the 12 cosets
+def test_group_from_table_refuses_an_unfaithful_action():
+    # C12's closed table forged into two 6-cycles on its 12 cosets: the
+    # closure has order 6, not the 12 cosets
     ct = todd_coxeter(parse_presentation("gens: a\na^12 = 1\n"), "A")
-    monkeypatch.setattr(presentations, "_coset_action",
-                        lambda table: np.array([[1, 2, 0]]))
-    with pytest.raises(InvariantError, match="order 3, not 12"):
+    six = np.array([6 * (k // 6) + (k + 1) % 6 for k in range(12)])
+    ct.closed = np.array([six, np.argsort(six)])
+    with pytest.raises(InvariantError, match="order 6, not 12"):
         group_from_table(ct)
 
 
@@ -322,17 +324,30 @@ def test_enumeration_work_counts(name, conv, defined, live):
     assert len(ct.p) == defined
 
 
-def _counting_todd_coxeter(monkeypatch):
-    """Record each enumeration: (convention,) over the trivial subgroup,
-    (convention, (i, e)) over <x_i^e>, x_1 the first generator."""
-    calls = []
-    real = presentations.todd_coxeter
+def _counting_enumerations(monkeypatch, defined=None):
+    """Record each enumeration that realize runs: (convention,) over the
+    trivial subgroup, (convention, (i, e)) over <x_i^e>, x_1 the first
+    generator.  realize flattens each convention's relators once, so the
+    list an enumeration is given names its convention.  If ``defined`` is
+    a list, add the cosets each enumeration defines to its last entry."""
+    calls, conventions = [], {}
+    relators, enumerate_ = Presentation.relators, presentations._enumerate
 
-    def counted(pres, convention, subgroup=()):
-        calls.append((convention, *((w[0], len(w)) for w in subgroup)))
-        return real(pres, convention, subgroup)
+    def flattened(pres, convention):
+        words = relators(pres, convention)
+        conventions[id(words)] = convention
+        return words
 
-    monkeypatch.setattr(presentations, "todd_coxeter", counted)
+    def counted(num_generators, words, subgroup):
+        calls.append((conventions[id(words)],
+                      *((w[0], len(w)) for w in subgroup)))
+        ct = enumerate_(num_generators, words, subgroup)
+        if defined is not None:
+            defined[-1] += len(ct.p)
+        return ct
+
+    monkeypatch.setattr(Presentation, "relators", flattened)
+    monkeypatch.setattr(presentations, "_enumerate", counted)
     return calls
 
 
@@ -345,7 +360,7 @@ def _counting_todd_coxeter(monkeypatch):
 ], ids=["cyclic-40", "dihedral-18"])
 def test_realize_auto_enumerates_once_without_brackets(monkeypatch, text, n,
                                                        enumerated):
-    calls = _counting_todd_coxeter(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     r = realize(parse_presentation(text), "auto", n)
     assert calls == enumerated
     assert r.orders == {"A": n, "B": n}
@@ -354,7 +369,7 @@ def test_realize_auto_enumerates_once_without_brackets(monkeypatch, text, n,
 
 def test_realize_auto_enumerates_once_for_rotated_relators(monkeypatch):
     # B's [a,b] is a cyclic rotation of A's, so the normal closures agree
-    calls = _counting_todd_coxeter(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     text = GENERATED_PRESENTATIONS["abelian-12x36"]
     r = realize(parse_presentation(text), "auto", 432)
     assert calls == [("A", (2, 1)), ("A", (1, 1))]
@@ -375,7 +390,7 @@ def test_same_closure_up_to_rotation_and_inversion():
 def test_realize_auto_enumerates_both_conventions_with_brackets(monkeypatch):
     # b and c (b^7 = c^7 = 1) before a (a^3 = 1); A's <a> has index 1 and
     # proves |G| <= 3, which the 3 cosets of <b> meet
-    calls = _counting_todd_coxeter(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     r = realize(parse_presentation(_data_text("ex_order147.pres")), "auto", 147)
     assert calls == [(conv, (g, 1)) for conv in "AB" for g in (2, 3, 1)]
     assert r.orders == {"A": 3, "B": 147}
@@ -385,7 +400,7 @@ def test_realize_auto_enumerates_both_conventions_with_brackets(monkeypatch):
 def test_realize_auto_shares_an_inconclusive_enumeration(monkeypatch):
     # the first inconclusive candidate ends the sandwich: one extra
     # enumeration before the regular one
-    calls = _counting_todd_coxeter(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     monkeypatch.setattr(presentations, "MAX_COSETS", 300)
     with pytest.raises(EnumerationInconclusiveError):
         realize(parse_presentation("gens: a b\na^2 = 1\n"), "auto")
@@ -534,12 +549,14 @@ def _same_verdicts(G, R):
             assert verdict.member or verify_witness(H, verdict, cls)
 
 
-def _same_verdicts_as_regular(ct):
-    """The group from the table has the live-coset count as its order and
-    the verdicts of the regular action on the same table."""
+def _same_verdicts_as_regular(pres, conv):
+    """The realized group has the live-coset count of the regular
+    enumeration as its order, and the verdicts of the regular action on
+    that table."""
+    ct = todd_coxeter(pres, conv)
     R = close_generators([Perm(c) for c in ct.closed[1::2].tolist()])
     assert R.order == ct.live_count()
-    _same_verdicts(group_from_table(ct), R)
+    _same_verdicts(realize(pres, conv).group, R)
 
 
 @pytest.mark.parametrize("conv", ["A", "B"])
@@ -551,7 +568,7 @@ def _same_verdicts_as_regular(ct):
                                "metacyclic-21"],
 )
 def test_coset_action_verdicts_match_regular_action(text, conv):
-    _same_verdicts_as_regular(todd_coxeter(parse_presentation(text), conv))
+    _same_verdicts_as_regular(parse_presentation(text), conv)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -562,10 +579,11 @@ def test_coset_action_on_random_finite_presentations(lines, m, n, conv):
     # C_m x C_n; malformed or over-long ones are refused before enumeration
     text = "\n".join(["gens: a b", f"a^{m} = 1", f"b^{n} = 1", "[a,b] = 1", *lines])
     try:
-        ct = todd_coxeter(parse_presentation(text), conv)
+        pres = parse_presentation(text)
+        pres.check_length(presentations.MAX_COSETS)
     except (PresentationSyntaxError, BudgetError):
         return
-    _same_verdicts_as_regular(ct)
+    _same_verdicts_as_regular(pres, conv)
 
 
 # -- enumeration over cyclic subgroups, and the sandwich ---------------------------
@@ -637,7 +655,7 @@ SANDWICH_PROVED = ["c31-c15", "heisenberg-7", "cyclic-2000", "dihedral-486",
 @pytest.mark.parametrize("conv", ["A", "B"])
 @pytest.mark.parametrize("name", SANDWICH_PROVED)
 def test_sandwich_proves_without_a_regular_table(name, conv, monkeypatch):
-    calls = _counting_todd_coxeter(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     order, degree = BENCH_DEGREES[name]
     r = realize(parse_presentation(_text(name)), conv)
     assert (r.order, r.group.degree) == (order, degree)
@@ -651,7 +669,7 @@ def test_fallback_keeps_the_regular_action(name, tried, monkeypatch):
     # C401 has no candidate (<a> = G, and a^401 = 1 is <a^401> = 1), and
     # every non-trivial subgroup of Q256 holds its central involution, so no
     # union of coset actions is faithful
-    calls = _counting_todd_coxeter(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     order, _ = BENCH_DEGREES[name]
     G = realize(parse_presentation(_text(name)), "A").group
     assert G.order == G.degree == order
@@ -666,11 +684,11 @@ def test_order147_collapses_under_a():
 
 def test_an_index_that_meets_the_bound_is_the_regular_table(monkeypatch):
     # b^6 = 1 and <b> = G give |G| <= 6; <a> then has 6 cosets, so a = 1 and
-    # its table is the regular one, which group_from_table realizes on the
-    # 2 + 3 cosets of <b^2> and <b^3>, without another enumeration
-    calls = _counting_todd_coxeter(monkeypatch)
+    # its table is the regular one.  That proves |G| = 6 but is no smaller
+    # action, so the search goes on to the 2 + 3 cosets of <b^2> and <b^3>
+    calls = _counting_enumerations(monkeypatch)
     r = realize(parse_presentation("gens: a b\na^2 = 1\nb^6 = 1\na = b^6\n"), "A")
-    assert calls == [("A", (2, 1)), ("A", (1, 1))]
+    assert calls == [("A", (2, 1)), ("A", (1, 1)), ("A", (2, 2)), ("A", (2, 3))]
     assert (r.order, r.group.degree) == (6, 5)
 
 
@@ -686,7 +704,7 @@ def test_a_union_skips_an_action_that_adds_nothing():
 def test_no_union_of_bound_points_is_closed(monkeypatch):
     # C2 x C2: the 2 + 2 cosets of <a> and <b> would be a union of B = 4
     # points, no smaller than the regular action, so realize falls back
-    calls = _counting_todd_coxeter(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     G = realize(parse_presentation("gens: a b\na^2 = 1\nb^2 = 1\n[a,b] = 1\n"),
                 "A").group
     assert calls == [("A", (1, 1)), ("A", (2, 1)), ("A",)]
@@ -702,19 +720,19 @@ def test_a_closure_over_the_order_cap_raises_as_before():
 
 
 def test_cyclic_8193_builds_no_regular_table(monkeypatch):
-    calls = _counting_todd_coxeter(monkeypatch)
+    calls = _counting_enumerations(monkeypatch)
     G = realize(parse_presentation("gens: a\na^8193 = 1\n"), "A").group
     assert (G.order, G.degree) == (8193, 2734)
     assert calls == [("A", (1, 3)), ("A", (1, 2731))]
 
 
 # cosets defined by all the enumerations of realize(pres, conv), against the
-# regular enumeration's alone.  None is more except where the sandwich
-# falls back (Q256) or the group is tiny, so that the regular table costs
-# fewer cosets than the subgroups tried before the proof: ex_order147
-# under A (order 3), ex_order18 under B (order 2) and ex_order12 under B,
-# where <b> is enumerated (12 cosets defined) though <a> and <c> alone
-# prove |G| = 12
+# regular enumeration's alone, and the (order, degree) realized, under A
+# and B.  None is more except where the search needs the regular table
+# (Q256) or the group is tiny, so that the regular table costs fewer
+# cosets than the subgroups tried before the proof: ex_order147 under A
+# (order 3), ex_order18 under B (order 2), ex_order12 under B, where <b> is
+# enumerated (12 cosets defined) though <a> and <c> alone prove |G| = 12
 REALIZE_COSETS = {
     "ex_order18.pres": (39, 38), "ex_order147.pres": (148, 413),
     "ex_order24.pres": (28, 35), "ex_order12.pres": (14, 27),
@@ -726,30 +744,28 @@ REALIZE_COSETS = {
 MORE_THAN_REGULAR = {("ex_order147.pres", "A"), ("ex_order18.pres", "B"),
                      ("ex_order12.pres", "B"), ("quaternion-256", "A"),
                      ("quaternion-256", "B")}
+REALIZE_DEGREES = {
+    "ex_order18.pres": ((18, 9), (2, 2)), "ex_order147.pres": ((3, 3), (147, 49)),
+    "ex_order24.pres": ((8, 4), (24, 12)), "ex_order12.pres": ((4, 4), (12, 7)),
+    "ex_order75.pres": ((3, 3), (75, 15)),
+} | {name: (BENCH_DEGREES[name],) * 2 for name in GENERATED_PRESENTATIONS
+     if name in BENCH_DEGREES}
 
 
 @pytest.mark.parametrize("name", sorted(REALIZE_COSETS))
 def test_realize_cosets_defined_are_pinned(name, monkeypatch):
-    # and no realized degree exceeds the regular path's.  Of the actions
-    # that prove |G| at once, the one with the fewest points is kept: in
-    # ex_order24 under A (order 8), <g1> brings B down to 8, which both its
-    # 4 cosets and the 8 of <g4> (tried before) then meet
+    # Of the actions that prove |G| at once, the one with the fewest points
+    # is kept: in ex_order24 under A (order 8), <g1> brings B down to 8,
+    # which both its 4 cosets and the 8 of <g4> (tried before) then meet
     pres = parse_presentation(_text(name))
     tables = [todd_coxeter(pres, conv) for conv in "AB"]
     defined = []
-    real = presentations.todd_coxeter
-
-    def counted(pres, convention, subgroup=()):
-        ct = real(pres, convention, subgroup)
-        defined[-1] += len(ct.p)
-        return ct
-
-    monkeypatch.setattr(presentations, "todd_coxeter", counted)
-    for conv, ct in zip("AB", tables):
+    _counting_enumerations(monkeypatch, defined)
+    for conv, ct, pinned in zip("AB", tables, REALIZE_DEGREES[name]):
         defined.append(0)
         G = realize(pres, conv).group
         assert (defined[-1] <= len(ct.p)) == ((name, conv) not in MORE_THAN_REGULAR)
-        assert G.degree <= group_from_table(ct).degree
+        assert (G.order, G.degree) == pinned
     assert tuple(defined) == REALIZE_COSETS[name]
 
 

@@ -326,7 +326,7 @@ def test_cli_verify_exit_codes(capsys):
     assert captured.err == "3 instances: 3 passed, 0 failed, 0 skipped\n"
 
 
-def test_cli_usage_error_exit_2(capsys):
+def test_cli_usage_error_exit_2(tmp_path, monkeypatch, capsys):
     assert main(["construct", "nosuch:1"]) == 2
     assert main(["check-x", "cyclic"]) == 2
     capsys.readouterr()
@@ -345,6 +345,20 @@ def test_cli_usage_error_exit_2(capsys):
         err = capsys.readouterr().err
         assert f"bad group spec {spec.split(';')[-1]!r}: expected {form}" in err
         assert "invalid literal" not in err
+    # an order hint below 1 is refused, not ignored, and a file that is not
+    # JSON is named, not only the decoder's message
+    (tmp_path / "c4.pres").write_text("gens: a\na^4 = 1\n")
+    (tmp_path / "action.json").write_text("gens: a\n")
+    monkeypatch.chdir(tmp_path)
+    for hint in ("0", "-5"):
+        spec = f"presentation:@c4.pres#auto:{hint}"
+        assert main(["check-x", spec]) == 2
+        assert (f"bad group spec {spec!r}: expected "
+                "presentation:@file.pres#auto:HINT") in capsys.readouterr().err
+    assert main(["check-x", "presentation:@c4.pres#auto:4"]) == 0
+    capsys.readouterr()
+    assert main(["check-x", "sdp:@action.json"]) == 2
+    assert "action.json is not JSON" in capsys.readouterr().err
 
 
 def test_cli_order_cap_bounds_presentation_specs(tmp_path, monkeypatch, capsys):
