@@ -26,6 +26,18 @@ from .verify import (
 )
 
 
+def _at_least_1(text: str) -> int:
+    """An integer argument of at least 1 (a cap or bound below 1 would run
+    nothing, or refuse every group, instead of being an error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="centra",
@@ -36,28 +48,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a group and emit its JSON form")
     p.add_argument("spec")
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+    p.add_argument("--order-cap", type=_at_least_1, default=DEFAULT_ORDER_CAP)
 
     p = sub.add_parser("check-x", help="membership: non-cyclic subgroups contain their centralizers")
     p.add_argument("spec")
-    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+    p.add_argument("--order-cap", type=_at_least_1, default=DEFAULT_ORDER_CAP)
 
     p = sub.add_parser("check-c", help="membership: non-trivial subgroups contain their centralizers")
     p.add_argument("spec")
-    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+    p.add_argument("--order-cap", type=_at_least_1, default=DEFAULT_ORDER_CAP)
 
     p = sub.add_parser("subgroups", help="enumerate subgroups")
     p.add_argument("spec")
     p.add_argument("--count", action="store_true")
-    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+    p.add_argument("--order-cap", type=_at_least_1, default=DEFAULT_ORDER_CAP)
 
     p = sub.add_parser("verify", help="run a theorem's default instance sweep")
     p.add_argument("theorem", choices=sorted(THEOREM_IDS))
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=_at_least_1, default=None)
 
     p = sub.add_parser("run-manifest", help="run every instance in a manifest file")
     p.add_argument("manifest", nargs="?", default=None)
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=_at_least_1, default=None)
     p.add_argument("--report", type=Path, default=None)
     return parser
 

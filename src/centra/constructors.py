@@ -562,9 +562,11 @@ def parse_group_spec(spec: str, base_dir: Path | str | None = None,
         # dp:A;dp:B;C is A x (B x C): the right-nested chain is read in a
         # loop, not by recursion, its partial order and degree are checked
         # before each next factor is built, and the product is closed once
-        factors, order, degree = [], 1, 0
+        factors, order, degree, whole = [], 1, 0, spec
         while head == "dp":
             left, _, spec = arg.partition(";")
+            if not left.strip() or not spec.strip():
+                raise ValueError(f"bad group spec {whole!r}: expected dp:SPEC;SPEC")
             factors.append(parse_group_spec(left, base_dir, order_cap))
             order, degree = order * factors[-1].order, degree + factors[-1].degree
             check_order(order, degree, order_cap)

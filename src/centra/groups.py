@@ -103,21 +103,15 @@ ELEMENT_STORAGE_BUDGET = 1 << 28
 # a column of keys 4-10x faster than the search; the cap only bounds its
 # size, and admits psl3:3 (5.1x) and sym:8 (6.5x).
 _TABLE_PER_MATRIX = 8
-# the stabilizer chain builds transversal layers and tests Schreier
-# generators in numpy blocks of at most this many entries (rows x degree).
-# A block's temporaries then take about 0.3 MB; 1 << 16 raised the peak of
-# small groups (q:256 0.66 -> 1.2 MB under tracemalloc) with no measurable
-# gain in time, and 1 << 12 slowed the order-1029 group of the manifest by
-# 70%.  ``conjugates`` uses the same blocks (conjugators x elements x base
-# points): one block for a whole map of alt:9 raised `check-x alt:9` 70->87 MB.
+# the stabilizer chain tests Schreier generators in numpy blocks of at most
+# this many entries (rows x degree), and ``_greedy_base`` reads columns in
+# blocks of at most as many.  A block's temporaries then take about 0.3 MB;
+# 1 << 16 raised the peak of small groups (q:256 0.66 -> 1.2 MB under
+# tracemalloc) with no measurable gain in time, and 1 << 12 slowed the
+# order-1029 group of the manifest by 70%.  ``conjugates`` uses the same
+# blocks (conjugators x elements x base points): one block for a whole map of
+# alt:9 raised `check-x alt:9` 70->87 MB.
 _BLOCK = 1 << 14
-# a chain level whose transversal holds at most this many entries (orbit x
-# degree) works on Python lists, one row at a time; a larger one in numpy
-# blocks.  Each numpy call costs a few microseconds, so the many small
-# levels of small groups run 2-4 times faster on lists.  Over the 351
-# closures of a manifest pass, limits from 256 to 2048 gave the same total
-# within noise; numpy alone (0) was 20-30% slower.
-_LIST_LEVEL = 1024
 
 
 def close_generators(
@@ -165,14 +159,14 @@ def check_order(order: int, degree: int, order_cap: int) -> None:
 class _Level:
     """One level of a stabilizer chain: a base point b, the indices of its
     strong generators (each fixes the base points above b), the orbit of b
-    under them and its transversal, whose r-th row is an element of the
-    level's group sending b to the r-th least orbit point: Python lists in
-    ``rows``, or a numpy array ``U`` of the chain's cells if it holds more
-    than ``_LIST_LEVEL`` entries.  ``pairs`` is None while the generators
-    have changed since the orbit was made."""
+    under them and its transversal ``U``, a numpy array of the chain's cells
+    whose r-th row is an element of the level's group sending b to the r-th
+    least orbit point; ``where`` maps each point to its row, -1 off the
+    orbit.  ``pairs`` (of which the first ``tested`` are done) is None while
+    the generators have changed since the orbit was made."""
 
-    __slots__ = ("point", "gens", "size", "where", "pos", "U", "rows",
-                 "inverse", "inverse_rows", "pairs", "tested")
+    __slots__ = ("point", "gens", "size", "where", "U", "inverse",
+                 "inverse_rows", "pairs", "tested")
 
     def __init__(self, point: int):
         self.point, self.gens, self.size, self.pairs = point, [], 1, None
@@ -182,10 +176,10 @@ class _Chain:
     """A stabilizer chain of the group generated by some permutations, built
     by the deterministic Schreier-Sims algorithm.
 
-    A level with a list transversal tests its Schreier generators one at a
-    time; a level with a numpy transversal tests them in blocks.  Either way
-    the few that are not already the identity are sifted one at a time, as
-    lists, by ``_sift_row``.  Every numpy row it makes (the strong generators
+    Every level keeps its transversal as one numpy array and tests its
+    Schreier generators in blocks of at most ``_BLOCK`` entries; the few
+    that are not already the identity are sifted one at a time, as lists,
+    by ``_sift_row``.  Every numpy row it makes (the strong generators
     ``S``, the transversals, their inverses and the elements of G) is in
     the cell of its degree, ``cell``; the flat offsets that index them are
     intp, as numpy makes arrays of Python ints.
@@ -237,28 +231,24 @@ class _Chain:
     def _orbit(self, L: _Level) -> None:
         """Compute the orbit of the level's base point breadth-first over
         the generators' image lists, then its transversal along the Schreier
-        tree (u_q = s * u_p for the tree edge q = s(p)): row by row as lists,
-        or with one numpy gather per layer of the tree.  Every (generator,
-        point) pair that is not a tree edge is kept for ``_residue``."""
-        d = self.degree
-        images = [(g, self.images[g]) for g in L.gens]
+        tree, one edge at a time: u_q = s * u_p for the edge q = s(p).  Each
+        (generator, point) pair that is not a tree edge is kept for
+        ``_residue`` as a row (offset of s in the flat ``S``, row of p, row
+        of s(p)) of an int array."""
+        d, S = self.degree, self._stacked()
+        images = [(g, self.images[g], S[g]) for g in L.gens]
         where = [-1] * d
         where[L.point] = 0
-        orbit, tree, pairs, layers = [L.point], [], [], [1]
-        lo = 0
-        while lo < len(orbit):
-            hi = len(orbit)
-            for p in orbit[lo:hi]:
-                for g, img in images:
-                    q = img[p]
-                    if where[q] < 0:
-                        where[q] = 0
-                        orbit.append(q)
-                        tree.append((g, p))
-                    else:
-                        pairs.append((g, p, q))
-            layers.append(len(orbit))
-            lo = hi
+        orbit, tree, pairs = [L.point], [], []
+        for p in orbit:  # the list grows while it is read: a queue
+            for g, img, s in images:
+                q = img[p]
+                if where[q] < 0:
+                    where[q] = 0
+                    orbit.append(q)
+                    tree.append((s, p))
+                else:
+                    pairs += (g * d, p, q)
         # the product of the orbit lengths counts distinct elements of G
         # (products of transversal rows differ on the base), so it bounds
         # |G| from below
@@ -266,31 +256,18 @@ class _Chain:
         check_order(prod(M.size for M in self.levels), d, self.order_cap)
         for r, p in enumerate(sorted(orbit)):
             where[p] = r
-        L.where, L.pos, L.pairs, L.tested = where, np.array(where), pairs, 0
-        L.inverse, L.inverse_rows = None, [None] * len(orbit)
-        if len(orbit) * d <= _LIST_LEVEL:
-            rows = L.rows = [None] * len(orbit)
-            rows[where[L.point]] = self.identity
-            for (g, p), q in zip(tree, orbit[1:]):
-                s = self.images[g]
-                rows[where[q]] = [s[x] for x in rows[where[p]]]
-            return
-        S = self._stacked().reshape(-1)
-        L.rows, U = None, np.empty((len(orbit), d), dtype=self.cell)
+        pairs[1::3] = [where[p] for p in pairs[1::3]]
+        pairs[2::3] = [where[q] for q in pairs[2::3]]
+        L.pairs = np.array(pairs, dtype=np.intp).reshape(-1, 3)
+        L.where, L.tested, L.inverse, L.inverse_rows = where, 0, None, [None] * L.size
+        U = L.U = np.empty((L.size, d), dtype=self.cell)
         U[where[L.point]] = self.identity
-        edges = np.array(tree).reshape(-1, 2)
-        via, at, to = edges[:, :1] * d, L.pos[edges[:, 1]], L.pos[orbit[1:]]
-        step = max(1, _BLOCK // d)
-        for a, z in zip(layers, layers[1:-1]):
-            if z - a == 1:
-                (g, p), q = tree[a - 1], orbit[a]
-                U[where[q]] = self.S[g].take(U[where[p]])
-                continue
-            # tree edges a-1 .. z-2 give the layer's rows, in blocks
-            for lo in range(a - 1, z - 1, step):
-                e = slice(lo, min(lo + step, z - 1))
-                U[to[e]] = S.take(via[e] + U[at[e]])
-        L.U = U
+        # each edge writes its row in place, through views of U's rows; the
+        # points are in range, and a mode other than "raise" lets take write
+        # to ``out`` without a temporary buffer
+        rows = list(U)
+        for (s, p), q in zip(tree, orbit[1:]):
+            s.take(rows[where[p]], out=rows[where[q]], mode="clip")
 
     def _stacked(self) -> np.ndarray:
         """The strong generators as numpy rows."""
@@ -303,25 +280,11 @@ class _Chain:
         (a group whose Schreier generators are all trivial never needs
         them)."""
         if L.inverse is None:
-            U = self._rows(L)
-            n, d = U.shape
-            L.inverse = np.empty_like(U)
+            n, d = L.U.shape
+            L.inverse = np.empty_like(L.U)
             at = np.arange(0, n * d, d, dtype=np.intp)[:, None]
-            L.inverse.reshape(-1)[U + at] = np.arange(d, dtype=self.cell)
+            L.inverse.reshape(-1)[L.U + at] = np.arange(d, dtype=self.cell)
         return L.inverse
-
-    def _transversal_inverse(self, L: _Level, r: int) -> list[int]:
-        """The inverse of the level's r-th transversal row, as a list."""
-        inv = L.inverse_rows[r]
-        if inv is None:
-            if L.rows is None:
-                inv = self._inverse(L)[r].tolist()
-            else:
-                inv = [0] * self.degree
-                for i, x in enumerate(L.rows[r]):
-                    inv[x] = i
-            L.inverse_rows[r] = inv
-        return inv
 
     def _residue(self, level: int) -> tuple[list[int], int] | None:
         """The first Schreier generator u_q^-1 * s * u_p (q = s(p)) of the
@@ -330,34 +293,20 @@ class _Chain:
         out.  None once every pair sifts to the identity.  Only the pairs
         with s * u_p != u_q can give anything but the identity."""
         L, d = self.levels[level], self.degree
-        if L.rows is not None:
-            rows, where = L.rows, L.where
-            for k in range(L.tested, len(L.pairs)):
-                g, p, q = L.pairs[k]
-                s = self.images[g]
-                x = [s[y] for y in rows[where[p]]]
-                if x != rows[where[q]]:
-                    w = self._transversal_inverse(L, where[q])
-                    found = self._sift_row([w[y] for y in x], level + 1)
+        S, U = self._stacked().reshape(-1), L.U
+        step = max(1, _BLOCK // d)
+        for lo in range(L.tested, len(L.pairs), step):
+            via, p, q = L.pairs[lo : lo + step].T
+            X = S.take(via[:, None] + U.take(p, axis=0))
+            bad = (X != U.take(q, axis=0)).any(axis=1).nonzero()[0]
+            if len(bad):
+                inverse = self._inverse(L).reshape(-1)
+                H = inverse.take(q[bad, None] * d + X[bad]).tolist()
+                for k, h in zip(bad.tolist(), H):
+                    found = self._sift_row(h, level + 1)
                     if found is not None:
-                        L.tested = k + 1
+                        L.tested = lo + k + 1
                         return found
-        else:
-            S, U = self._stacked().reshape(-1), L.U
-            step = max(1, _BLOCK // d)
-            for lo in range(L.tested, len(L.pairs), step):
-                c = np.array(L.pairs[lo : lo + step])
-                X = S.take(c[:, :1] * d + U[L.pos[c[:, 1]]])
-                q = L.pos[c[:, 2]]
-                bad = np.flatnonzero((X != U[q]).any(axis=1))
-                if len(bad):
-                    inverse = self._inverse(L).reshape(-1)
-                    H = inverse.take(q[bad, None] * d + X[bad]).tolist()
-                    for k, h in zip(bad.tolist(), H):
-                        found = self._sift_row(h, level + 1)
-                        if found is not None:
-                            L.tested = lo + k + 1
-                            return found
         # a generator that sifted to the identity stays in the group below
         L.tested = len(L.pairs)
         return None
@@ -365,14 +314,17 @@ class _Chain:
     def _sift_row(self, h: list[int], top: int) -> tuple[list[int], int] | None:
         """Sift one element (fixing the base points above ``top``) through
         levels top ..: h <- u_p^-1 * h for p = h(b), until some h(b) is not
-        in b's orbit.  The residue and the level it dropped out at, or None
-        if it sifts to the identity."""
+        in b's orbit; each row of ``_inverse`` it reads is kept as a list.
+        The residue and the level it dropped out at, or None if it sifts to
+        the identity."""
         for level in range(top, len(self.levels)):
             L = self.levels[level]
             r = L.where[h[L.point]]
             if r < 0:
                 return h, level
-            w = self._transversal_inverse(L, r)
+            w = L.inverse_rows[r]
+            if w is None:
+                w = L.inverse_rows[r] = self._inverse(L)[r].tolist()
             h = [w[x] for x in h]
         return None if h == self.identity else (h, len(self.levels))
 
@@ -384,14 +336,10 @@ class _Chain:
         check_order(prod(L.size for L in self.levels), self.degree, self.order_cap)
         if not self.levels:
             return np.array([self.identity], dtype=self.cell)
-        E = self._rows(self.levels[-1])
+        E = self.levels[-1].U
         for L in reversed(self.levels[:-1]):
-            E = self._rows(L).take(E, axis=1).reshape(-1, self.degree)
+            E = L.U.take(E, axis=1).reshape(-1, self.degree)
         return E
-
-    def _rows(self, L: _Level) -> np.ndarray:
-        """A level's transversal as a numpy array of the chain's cells."""
-        return L.U if L.rows is None else np.array(L.rows, dtype=self.cell)
 
 
 def _cell(degree: int) -> type:
@@ -886,14 +834,22 @@ def _index_map(found: np.ndarray) -> memoryview:
 
 def _greedy_base(matrix: np.ndarray) -> np.ndarray:
     """Ascending points whose pointwise stabilizer in the rows is trivial:
-    each is the first point moved by the stabilizer of those before it."""
-    rows, base = matrix, []
-    for p in range(matrix.shape[1]):
-        if len(rows) == 1:
-            break
-        if (rows[:, p] != p).any():
+    each is the first point moved by the stabilizer of those before it.  The
+    columns are read in blocks whose width doubles, up to ``_BLOCK`` entries,
+    while none of their points moves, so a long run of fixed points costs
+    few numpy calls, and a next base point that follows at once one call."""
+    rows, base, p, width = matrix, [], 0, 1
+    points = np.arange(matrix.shape[1])
+    while p < len(points) and len(rows) > 1:
+        moved = (rows[:, p : p + width] != points[p : p + width]).any(axis=0)
+        k = int(moved.argmax())
+        if moved[k]:
+            p += k
             base.append(p)
             rows = rows[rows[:, p] == p]
+            p, width = p + 1, 1
+        else:
+            p, width = p + width, min(2 * width, max(1, _BLOCK // len(rows)))
     out = np.array(base, dtype=np.intp)
     out.flags.writeable = False
     return out

@@ -716,10 +716,11 @@ def bundled_manifest_path() -> Path:
 def manifest_instances(path: str | Path) -> list[Instance]:
     """The records of a manifest: sweeps expand, spot entries check one spec.
 
-    A manifest is a JSON list of objects.  Each has a "theorem" id; a spot
-    entry adds a "spec" and an "expect", and may add an "id", all strings.
+    A manifest is a JSON list of objects.  Each has a "theorem" id and may
+    add an "id"; a spot entry adds a "spec" and an "expect", all strings.
     Raises CentraError, naming the entry (counted from 1), on any other
-    shape."""
+    shape: an unknown key (a misspelled "spec" would run the whole sweep)
+    or an "expect" without a "spec" is refused, not ignored."""
     path = Path(path)
     entries = json.loads(path.read_text())
     if not isinstance(entries, list):
@@ -728,6 +729,11 @@ def manifest_instances(path: str | Path) -> list[Instance]:
     for k, entry in enumerate(entries, 1):
         if not isinstance(entry, dict):
             raise CentraError(f"manifest entry {k} must be a JSON object")
+        unknown = [key for key in entry if key not in ("theorem", "spec", "expect", "id")]
+        if unknown:
+            raise CentraError(f"manifest entry {k} has unknown key {unknown[0]!r}")
+        if "expect" in entry and "spec" not in entry:
+            raise CentraError(f"manifest entry {k} has 'expect' but no 'spec'")
         required = ("theorem", "spec", "expect") if "spec" in entry else ("theorem",)
         missing = [key for key in required if key not in entry]
         if missing:

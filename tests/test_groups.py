@@ -378,23 +378,24 @@ def generator_sets(draw):
     return gens
 
 
-# a chain level works on Python lists up to groups._LIST_LEVEL entries and in
-# numpy blocks of groups._BLOCK entries above it; the default choice, each
-# path forced, and one-row blocks must all give the plain closure's matrix
-ROW_PATHS = {"default": (groups._LIST_LEVEL, groups._BLOCK),
-             "lists": (1 << 30, 1 << 14), "numpy": (0, 1 << 14),
-             "numpy-one-row-blocks": (0, 1)}
+# a chain level tests its Schreier generators in numpy blocks of
+# groups._BLOCK entries: the default blocks and one-row blocks must both give
+# the plain closure's matrix
+ROW_PATHS = {"default": groups._BLOCK, "numpy-one-row-blocks": 1}
+# the reference groups' generators, and a 401-cycle, whose Schreier tree is
+# one path of 400 edges (the regular action of C401 that the benchmark
+# realizes)
+CHAIN_CASES = {name: G.generators for name, G in REFERENCE_GROUPS.items()}
+CHAIN_CASES["cyclic-401"] = [Perm([(i + 1) % 401 for i in range(401)])]
 
 
 @pytest.mark.parametrize("path", sorted(ROW_PATHS))
-@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
 def test_stabilizer_chain_matches_plain_closure(name, path, monkeypatch):
-    list_level, block = ROW_PATHS[path]
-    monkeypatch.setattr(groups, "_LIST_LEVEL", list_level)
-    monkeypatch.setattr(groups, "_BLOCK", block)
-    G = REFERENCE_GROUPS[name]
-    rows = _closure_rows(G.generators)
-    assert close_generators(G.generators).matrix.tolist() == [list(r) for r in rows]
+    monkeypatch.setattr(groups, "_BLOCK", ROW_PATHS[path])
+    gens = CHAIN_CASES[name]
+    rows = _closure_rows(gens)
+    assert close_generators(gens).matrix.tolist() == [list(r) for r in rows]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -402,18 +403,17 @@ def test_stabilizer_chain_matches_plain_closure(name, path, monkeypatch):
 def test_stabilizer_chain_matches_plain_closure_on_random_generators(gens, path):
     rows = _closure_rows(gens)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups, "_LIST_LEVEL", ROW_PATHS[path][0])
-        mp.setattr(groups, "_BLOCK", ROW_PATHS[path][1])
+        mp.setattr(groups, "_BLOCK", ROW_PATHS[path])
         G = close_generators(gens)
     assert G.matrix.tolist() == [list(r) for r in rows]
     assert G.order == len(rows)
 
 
 def _mixed_levels():
-    """Chains with a list level next to a numpy level (_LIST_LEVEL = 1024
-    entries): C2 x C38 on 40 points sifts from a list level (orbit 2) through
-    a numpy one (orbit 38); D128 on 64 points from a numpy level (orbit 64)
-    through a list one (orbit 2)."""
+    """Chains whose residues sift across levels of very different sizes
+    (the test's name recalls the Python-list levels that small transversals
+    once had): C2 x C38 on 40 points sifts from a level of 2 rows through
+    one of 38; D128 on 64 points from a level of 64 rows through one of 2."""
     c38 = Perm([0, 1] + [2 + (i + 1) % 38 for i in range(38)])
     return {"c2xc38": [parse_cycles("(1,2)", 40), c38],
             "dihedral:128": list(dihedral(128).generators)}
@@ -488,10 +488,10 @@ def test_cells_at_the_degree_boundaries(degree):
     gens, points = _s4_on_the_last_points(degree)
     cell = CELLS[degree]
     assert groups._cell(degree) == cell
-    # the chain's strong generators and transversals, list levels included
+    # the chain's strong generators and transversals
     chain = groups._Chain(gens, groups.DEFAULT_ORDER_CAP)
     assert chain._stacked().dtype == cell
-    assert {chain._rows(L).dtype for L in chain.levels} == {np.dtype(cell)}
+    assert {L.U.dtype for L in chain.levels} == {np.dtype(cell)}
     G = close_generators(gens)
     assert G.order == 24
     assert G.matrix.dtype == cell and G.matrix.flags.c_contiguous
@@ -514,6 +514,18 @@ def test_cells_at_the_degree_boundaries(degree):
         assert G.conjugates(range(24), [j]).tolist() == [conj]
         commuting = [i for i in range(24) if right[i] == left[i]]
         assert G.commute_mask(j) == G.mask_of(commuting)
+
+
+def test_greedy_base_reads_few_rows_in_blocks_of_columns():
+    # S4 on the last points of 65 537: the base ends at point 65 535, and
+    # the 6 rows left after the first base point are read in blocks of
+    # columns that grow (one numpy call per column took 0.12-0.22 s)
+    d = 65537
+    G = close_generators(_s4_on_the_last_points(d)[0])
+    start = time.process_time()
+    base = groups._greedy_base(G.matrix)
+    assert time.process_time() - start < 0.05
+    assert base.tolist() == list(G.base) == [0, d - 3, d - 2]
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))

@@ -359,6 +359,25 @@ def test_cli_usage_error_exit_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["check-x", "sdp:@action.json"]) == 2
     assert "action.json is not JSON" in capsys.readouterr().err
+    # an empty factor of a direct product names the whole spec and its form
+    for spec in ("dp:", "dp:cyclic:2;", "dp:cyclic:2", "dp:;cyclic:2"):
+        assert main(["check-x", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"bad group spec {spec!r}: expected dp:SPEC;SPEC" in err
+    # a bound below 1 is refused when the arguments are parsed; it used to
+    # run nothing and exit 0, or report a cap of -3 elements
+    for argv in (["verify", "p-dihedral", "--max-order", "0"],
+                 ["verify", "p-dihedral", "--max-order", "-5"],
+                 ["run-manifest", "--max-order", "0"],
+                 ["check-x", "cyclic:5", "--order-cap", "-3"],
+                 ["check-x", "cyclic:5", "--order-cap", "0"],
+                 ["construct", "cyclic:5", "--order-cap", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err or "expected an integer, got 'x'" in err
+    assert main(["check-x", "cyclic:5", "--order-cap", "5"]) == 0
 
 
 def test_cli_order_cap_bounds_presentation_specs(tmp_path, monkeypatch, capsys):
@@ -445,6 +464,13 @@ def test_cli_refuses_deep_nesting(word, column, tmp_path, monkeypatch, capsys):
      "manifest entry 2 must be a JSON object"),
     ("run-manifest", [{"theorem": "t-abelian", "spec": 5, "expect": "member"}],
      "manifest entry 1: 'spec' must be a string"),
+    # a misspelled key used to be ignored, so this ran the whole sweep
+    ("run-manifest", [{"theorem": "t-abelian"},
+                      {"theorem": "psl2-normalizer", "spce": "dihedral:12",
+                       "expect": "member"}],
+     "manifest entry 2 has unknown key 'spce'"),
+    ("run-manifest", [{"theorem": "t-abelian", "expect": "member"}],
+     "manifest entry 1 has 'expect' but no 'spec'"),
     ("check-x", {}, "action data needs 'acting' as a JSON string"),
     ("check-x", [1, 2], "action data must be a JSON object"),
     ("check-x", {"acting": "cyclic:2", "target": "cyclic:3", "images": {"0": 5}},
@@ -456,8 +482,8 @@ def test_cli_refuses_deep_nesting(word, column, tmp_path, monkeypatch, capsys):
                  "images": {"0": [0, 2, 1, 3]}},
      "image for generator 0 is not an automorphism"),
 ], ids=["no-theorem", "no-expect", "object", "list-entry", "spec-not-string",
-        "empty-action", "list-action", "image-not-list", "not-homomorphism",
-        "not-automorphism"])
+        "unknown-key", "expect-without-spec", "empty-action", "list-action",
+        "image-not-list", "not-homomorphism", "not-automorphism"])
 def test_cli_malformed_file_exits_2(command, data, message, tmp_path, monkeypatch,
                                     capsys):
     (tmp_path / "a.json").write_text(json.dumps(data))
